@@ -88,7 +88,7 @@ adversarialTable(const Scenario &sc, RuntimeKind rk)
         o.totalOps = opsFor(sc.wk) / 4;
         o.seed = 1;
         o.fault = sc.fault;
-        o.cmPolicy = p;
+        o.machine.cmPolicy = p;
         o.quiet = true;
         o.machine.cores = 16;
         o.machine.memoryBytes = 128u << 20;

@@ -73,7 +73,7 @@ avgExperiment(WorkloadKind wk, RuntimeKind rk, unsigned threads,
     ExperimentResult acc;
     for (unsigned s = 1; s <= benchSeeds; ++s) {
         ExperimentOptions o = defaultOptions(wk, threads, s);
-        o.cmPolicy = policy;
+        o.machine.cmPolicy = policy;
         o.machine.unboundedVictimBuffer = unbounded_victim;
         const ExperimentResult r = runExperiment(wk, rk, o);
         acc.throughput += r.throughput / benchSeeds;

@@ -24,156 +24,34 @@
  * the library to be worth shipping.
  */
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <algorithm>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "src/native/tm.hh"
-#include "src/native/workload_trace.hh"
+#include "bench/native_window.hh"
 
 namespace
 {
 
 using namespace flextm;
+using bench::NativeMix;
 using native::Backend;
-using native::ZipfCdf;
-
-struct Params
-{
-    unsigned threads = 4;
-    std::uint32_t words = 8192;
-    unsigned opsPerTxn = 4;
-    /** Per-op write probability.  The default mix is read-mostly
-     *  (99% reads; ~96% of 4-op transactions are declared read-only),
-     *  the regime decoupled STM is built for. */
-    unsigned writePct = 1;
-    double theta = 0.7;
-    unsigned millis = 300;
-    unsigned rounds = 4;
-    std::uint64_t seed = 1;
-};
-
-struct Result
-{
-    std::uint64_t commits = 0;
-    double seconds = 0.0;
-    double
-    opsPerSec(const Params &p) const
-    {
-        return seconds <= 0.0 ? 0.0
-                              : static_cast<double>(commits) *
-                                    p.opsPerTxn / seconds;
-    }
-};
-
-/** One timed window: every thread issues transactions back to back
- *  until the stop flag flips.  The key/op streams are pre-generated
- *  (YCSB-style) so the window times the library, not the Zipf
- *  sampler; each thread cycles through its private stream. */
-Result
-measure(Backend backend, const Params &p)
-{
-    native::shared_t sh = native::tm_create_with(
-        std::size_t{p.words} * 8, 8, backend);
-    if (sh == native::invalid_shared) {
-        std::fprintf(stderr, "tm_create failed\n");
-        std::exit(2);
-    }
-    auto *base = static_cast<std::uint64_t *>(native::tm_start(sh));
-
-    native::TraceParams tp;
-    tp.seed = p.seed;
-    tp.threads = p.threads;
-    tp.words = p.words;
-    tp.txnsPerThread = 4096;
-    tp.opsPerTxn = p.opsPerTxn;
-    tp.writePct = p.writePct;
-    tp.theta = p.theta;
-    const native::WorkloadTrace trace = makeZipfianTrace(tp);
-
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::vector<std::uint64_t> commits(p.threads, 0);
-
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < p.threads; ++t) {
-        threads.emplace_back([&, t] {
-            const auto &stream = trace.perThread[t];
-            // Declared-read-only flags, precomputed per transaction.
-            std::vector<bool> ro(stream.size(), true);
-            for (std::size_t i = 0; i < stream.size(); ++i) {
-                for (const auto &op : stream[i].ops)
-                    ro[i] = ro[i] && !op.isWrite;
-            }
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            std::uint64_t mine = 0;
-            std::size_t next = 0;
-            while (!stop.load(std::memory_order_relaxed)) {
-                const native::TraceTxn &txn = stream[next];
-                const bool is_ro = ro[next];
-                if (++next == stream.size())
-                    next = 0;
-            retry:
-                const native::tx_t tx = native::tm_begin(sh, is_ro);
-                for (const auto &op : txn.ops) {
-                    std::uint64_t v = op.value;
-                    const bool ok =
-                        op.isWrite
-                            ? native::tm_write(sh, tx, &v, 8,
-                                               &base[op.word])
-                            : native::tm_read(sh, tx,
-                                              &base[op.word], 8, &v);
-                    if (!ok)
-                        goto retry;
-                }
-                if (!native::tm_end(sh, tx))
-                    goto retry;
-                ++mine;
-            }
-            commits[t] = mine;
-        });
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::milliseconds(p.millis));
-    stop.store(true, std::memory_order_relaxed);
-    for (auto &th : threads)
-        th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    Result r;
-    for (const std::uint64_t c : commits)
-        r.commits += c;
-    r.seconds = std::chrono::duration<double>(t1 - t0).count();
-    native::tm_destroy(sh);
-    return r;
-}
 
 double
-bestOpsPerSec(Backend backend, const Params &p)
+bestOpsPerSec(Backend backend, const NativeMix &p)
 {
     double best = 0.0;
     for (unsigned r = 0; r < p.rounds; ++r) {
-        Params round = p;
+        NativeMix round = p;
         round.seed = p.seed + r;
-        const Result res = measure(backend, round);
-        const double ops = res.opsPerSec(p);
-        if (ops > best)
-            best = ops;
+        best = std::max(best, bench::measureWindow(backend, round));
     }
     return best;
 }
 
 void
-report(const char *name, double ops, const Params &p)
+report(const char *name, double ops, const NativeMix &p)
 {
     std::printf("%-12s %10.0f ops/s  (%u threads, %u ops/txn, "
                 "%u%% writes, theta=%.2f, %u words)\n",
@@ -196,7 +74,7 @@ argNum(int argc, char **argv, int &i)
 int
 main(int argc, char **argv)
 {
-    Params p;
+    NativeMix p;
     bool grade = false;
     std::string backend = "both";
     for (int i = 1; i < argc; ++i) {
@@ -234,28 +112,19 @@ main(int argc, char **argv)
     }
 
     if (grade) {
-        // The acceptance mix: read-mostly Zipfian at 4 threads.
-        // Best-of-rounds on both sides, with the backends'
-        // measurement windows interleaved, so a noisy phase on a
-        // small shared CI box cannot systematically penalize one
-        // side.
-        double tl2 = 0.0, gl = 0.0;
-        for (unsigned r = 0; r < p.rounds; ++r) {
-            Params round = p;
-            round.seed = p.seed + r;
-            tl2 = std::max(tl2,
-                           measure(Backend::Tl2, round).opsPerSec(p));
-            gl = std::max(
-                gl, measure(Backend::GlobalLock, round).opsPerSec(p));
-        }
-        report("tl2", tl2, p);
-        report("global-lock", gl, p);
-        if (tl2 > gl) {
-            std::printf("GRADE PASS: tl2/gl = %.2fx\n", tl2 / gl);
+        // The acceptance mix: read-mostly Zipfian at 4 threads,
+        // best-of-rounds on both sides with the windows interleaved.
+        const bench::NativeBest best = bench::interleavedBest(p);
+        report("tl2", best.tl2, p);
+        report("global-lock", best.globalLock, p);
+        if (best.tl2 > best.globalLock) {
+            std::printf("GRADE PASS: tl2/gl = %.2fx\n",
+                        best.tl2 / best.globalLock);
             return 0;
         }
         std::printf("GRADE FAIL: tl2/gl = %.2fx (need > 1)\n",
-                    gl > 0 ? tl2 / gl : 0.0);
+                    best.globalLock > 0 ? best.tl2 / best.globalLock
+                                        : 0.0);
         return 1;
     }
 

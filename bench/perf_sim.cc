@@ -4,71 +4,63 @@
  *
  * Unlike the figure/table harnesses, which measure the *simulated*
  * machine, perf_sim measures the *simulator*: host wall-clock and
- * simulated-cycles-per-host-second over a fixed workload matrix -
- * the 54-cell fault sweep shape (6 runtimes x 3 workloads x 3
- * seeds, 4 threads, 96 ops, chaos fault plan, full oracle replay).
- * The matrix is frozen so successive PRs are comparable.
+ * simulated-cycles-per-host-second over fixed sets of cells.  Each
+ * set is one "section" of the JSON:
+ *
+ *  - the frozen matrix (sections "baseline" / "current"): the 54-cell
+ *    fault sweep shape (6 runtimes x 3 workloads x 3 seeds, 4
+ *    threads, 96 ops, chaos fault plan, full oracle replay), frozen so
+ *    successive PRs are comparable;
+ *  - one side cell per row of kSideCells ("<name>_baseline" /
+ *    "<name>_current"), for features that postdate the matrix and so
+ *    must not change it.
  *
  * The first run records itself as the baseline:
  *
  *     perf_sim --record-baseline --out BENCH_sim.json
  *
- * Later runs reload the baseline block from the existing file,
- * re-measure, and emit both plus the speedup:
+ * Later runs reload the baseline blocks from the existing file,
+ * re-measure, and emit both plus the matrix speedup:
  *
  *     perf_sim --out BENCH_sim.json
  *
- * Determinism cross-check: the summed commits/aborts/checked-ops of
- * the matrix are part of the file; a current run whose totals differ
- * from the baseline's is measuring different work (a red flag that a
- * "perf" change altered simulation semantics) and exits nonzero.
+ * Determinism cross-check: each section's summed commits / aborts /
+ * checked-ops / cycles are part of the file; a current run whose
+ * totals differ from the baseline's is measuring different work (a
+ * red flag that a "perf" change altered simulation semantics) and
+ * exits nonzero.
  *
- * One extra cell runs with the banked DRAM backend and is tracked in
- * its own dram_baseline / dram_current sections (with the same
- * simulated-work identity check), kept outside the frozen matrix so
- * the flat-latency trajectory stays comparable across PRs.  A second
- * side cell does the same for the HyTM runtime (hytm_baseline /
- * hytm_current), since HyTm postdates the frozen 6-runtime matrix.
- * A third side cell (cm_baseline / cm_current) runs the adversarial
- * hot-spot workload under the TimestampGreedy contention manager -
- * the policy suite's trajectory tracker, also outside the frozen
- * (implicitly all-Polka) matrix.
+ * --quick runs a 6-cell subset of the matrix (one workload, one seed
+ * per runtime) plus the side cells, with no JSON output - the
+ * perf-smoke ctest entries, so the harness itself cannot rot.
  *
- * --quick runs a 6-cell subset (one workload, one seed per runtime)
- * with no JSON output - the perf-smoke ctest entry, so the harness
- * itself cannot rot.
+ * --check FILE is the regression gate: re-measure every section
+ * serially, verify the simulated work is bit-identical to FILE's
+ * current sections, and fail when any section's wall clock exceeds
+ * the recorded one by more than --max-regress percent (default 20)
+ * plus a slack allowance.  The slack defaults to 0.05s + one recorded
+ * wall, because the ctest entry runs the RelWithDebInfo build against
+ * numbers recorded from the Release+LTO bench build; pass an explicit
+ * --slack 0.05 for the strict like-for-like 20% gate when checking
+ * from build-bench.
  *
- * Schema 6 adds a "native" cell: real host ops/sec of the native
- * libflextm library (TL2 and global-lock backends) on the grader's
- * read-mostly Zipfian mix.  Host throughput is machine-dependent and
- * has no simulated-work identity, so the cell is informational - it
- * tracks the library's trajectory in BENCH_sim.json but is excluded
- * from both the identity check and the --check wall-clock gate.
- *
- * --check FILE is the regression gate (schema 6): re-measure the
- * frozen matrix and each side cell serially, verify the simulated
- * work is bit-identical to FILE's current sections, and fail when
- * any section's wall clock exceeds the recorded one by more than
- * --max-regress percent (default 20) plus a slack allowance.  The
- * slack defaults to 0.05s + one recorded wall, because the ctest
- * entry runs the RelWithDebInfo build against numbers recorded from
- * the Release+LTO bench build; pass an explicit --slack 0.05 for the
- * strict like-for-like 20% gate when checking from build-bench.
+ * The "native" block is real host ops/sec of the native libflextm
+ * library (TL2 and global-lock backends) on the grader's read-mostly
+ * Zipfian mix (bench/native_window.hh).  Host throughput is
+ * machine-dependent and has no simulated-work identity, so the block
+ * is trajectory-only: excluded from both the identity check and the
+ * --check gate.
  */
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "native/tm.hh"
-#include "native/workload_trace.hh"
+#include "bench/native_window.hh"
 #include "sim/parallel.hh"
 #include "workloads/fault_harness.hh"
 
@@ -96,10 +88,28 @@ struct Cell
     RuntimeKind rk;
     WorkloadKind wk;
     std::uint64_t seed;
-    /** Run with the banked DRAM backend instead of flat latency. */
-    bool dram = false;
+    MemBackendKind memBackend = MemBackendKind::Fixed;
     /** Contention-management policy (the frozen matrix is all-Polka). */
     CmPolicy policy = CmPolicy::Polka;
+};
+
+/** A side cell: tracked beside (not inside) the frozen matrix, in its
+ *  own <name>_baseline / <name>_current section pair. */
+struct SideCell
+{
+    const char *name;
+    Cell cell;
+};
+
+const SideCell kSideCells[] = {
+    // The banked DRAM backend instead of flat memory latency.
+    {"dram", {RuntimeKind::FlexTmEager, WorkloadKind::HashTable, 7000,
+              MemBackendKind::Dram}},
+    // The hybrid runtime, which postdates the 6-runtime matrix.
+    {"hytm", {RuntimeKind::HyTm, WorkloadKind::HashTable, 7200}},
+    // The adversarial hot-spot storm under a non-default policy.
+    {"cm", {RuntimeKind::FlexTmEager, WorkloadKind::HotSpot, 7400,
+            MemBackendKind::Fixed, CmPolicy::TimestampGreedy}},
 };
 
 struct CellResult
@@ -130,6 +140,17 @@ struct Totals
     }
 };
 
+/** One timed cell set and its JSON section pair. */
+struct Section
+{
+    std::string name;    //!< log label
+    std::string prefix;  //!< JSON key prefix ("" for the matrix)
+    std::vector<Cell> cells;
+    Totals current;
+
+    std::string key(const char *what) const { return prefix + what; }
+};
+
 std::vector<Cell>
 buildMatrix(bool quick)
 {
@@ -157,6 +178,18 @@ buildMatrix(bool quick)
     return cells;
 }
 
+/** The matrix first, then one section per side cell. */
+std::vector<Section>
+buildSections(bool quick)
+{
+    std::vector<Section> sections;
+    sections.push_back({"flat", "", buildMatrix(quick), {}});
+    for (const SideCell &s : kSideCells)
+        sections.push_back(
+            {s.name, std::string(s.name) + "_", {s.cell}, {}});
+    return sections;
+}
+
 CellResult
 runCell(const Cell &c)
 {
@@ -165,9 +198,8 @@ runCell(const Cell &c)
     opt.threads = kThreads;
     opt.totalOps = kTotalOps;
     opt.quiet = true;
-    opt.cmPolicy = c.policy;
-    if (c.dram)
-        opt.machine.memBackend = MemBackendKind::Dram;
+    opt.machine.cmPolicy = c.policy;
+    opt.machine.memBackend = c.memBackend;
     FaultRunResult r = runFaultedExperiment(c.wk, c.rk, opt);
     CellResult out;
     out.ok = r.report.ok;
@@ -179,9 +211,9 @@ runCell(const Cell &c)
     return out;
 }
 
-/** Run the whole matrix across @p jobs workers; returns totals. */
+/** Run @p cells across @p jobs workers; returns totals. */
 bool
-runMatrix(const std::vector<Cell> &cells, unsigned jobs, Totals &tot)
+runCells(const std::vector<Cell> &cells, unsigned jobs, Totals &tot)
 {
     std::vector<CellResult> results(cells.size());
     const auto t0 = std::chrono::steady_clock::now();
@@ -269,7 +301,7 @@ readFile(const std::string &path, std::string &text)
 /** The simulated-work identity check between a section's baseline
  *  and its re-measurement (perf must never change semantics). */
 bool
-matrixMatches(const char *what, const Totals &baseline,
+matrixMatches(const std::string &what, const Totals &baseline,
               const Totals &current)
 {
     if (baseline.commits == current.commits &&
@@ -282,7 +314,7 @@ matrixMatches(const char *what, const Totals &baseline,
                  "perf_sim: %s MATRIX MISMATCH vs baseline "
                  "(commits %llu/%llu aborts %llu/%llu "
                  "ops %llu/%llu cycles %llu/%llu)\n",
-                 what, (unsigned long long)current.commits,
+                 what.c_str(), (unsigned long long)current.commits,
                  (unsigned long long)baseline.commits,
                  (unsigned long long)current.aborts,
                  (unsigned long long)baseline.aborts,
@@ -296,8 +328,9 @@ matrixMatches(const char *what, const Totals &baseline,
 /** One section of the --check gate: simulated-work identity plus the
  *  wall-clock threshold against the recorded section. */
 bool
-checkSection(const char *what, const Totals &ref, const Totals &cur,
-             double maxRegressPct, double slackSeconds)
+checkSection(const std::string &what, const Totals &ref,
+             const Totals &cur, double maxRegressPct,
+             double slackSeconds)
 {
     if (!matrixMatches(what, ref, cur))
         return false;
@@ -309,14 +342,13 @@ checkSection(const char *what, const Totals &ref, const Totals &cur,
     std::fprintf(stderr,
                  "perf_sim: check %-4s %s: %.3fs vs recorded %.3fs "
                  "(limit %.3fs = +%.0f%% + %.2fs slack)\n",
-                 what, ok ? "ok" : "REGRESSED", cur.wallSeconds,
+                 what.c_str(), ok ? "ok" : "REGRESSED", cur.wallSeconds,
                  ref.wallSeconds, limit, maxRegressPct, slack);
     return ok;
 }
 
 void
-writeSection(std::FILE *f, const char *name, const Totals &t,
-             bool trailingComma)
+writeSection(std::FILE *f, const std::string &name, const Totals &t)
 {
     std::fprintf(f,
                  "  \"%s\": {\n"
@@ -327,133 +359,14 @@ writeSection(std::FILE *f, const char *name, const Totals &t,
                  "    \"aborts\": %llu,\n"
                  "    \"checked_ops\": %llu,\n"
                  "    \"jobs\": %u\n"
-                 "  }%s\n",
-                 name, t.wallSeconds,
+                 "  },\n",
+                 name.c_str(), t.wallSeconds,
                  static_cast<unsigned long long>(t.simCycles),
                  t.cyclesPerSecond(),
                  static_cast<unsigned long long>(t.commits),
                  static_cast<unsigned long long>(t.aborts),
-                 static_cast<unsigned long long>(t.checkedOps), t.jobs,
-                 trailingComma ? "," : "");
+                 static_cast<unsigned long long>(t.checkedOps), t.jobs);
 }
-
-/** @name Native libflextm throughput cell (schema 6)
- *
- * A cut-down copy of bench/native_throughput's timed window: the
- * grader's read-mostly Zipfian acceptance mix on real pthreads, one
- * short best-of-rounds window per backend.  Real host ops/sec - the
- * only non-simulated numbers in this file - so the cell is written
- * to the JSON for trajectory reading but takes part in neither the
- * identity check nor the --check gate. */
-/// @{
-struct NativeCell
-{
-    double tl2OpsPerSec = 0.0;
-    double glOpsPerSec = 0.0;
-    unsigned threads = 4;
-    unsigned opsPerTxn = 4;
-    unsigned writePct = 1;
-};
-
-double
-measureNativeOnce(native::Backend backend, const NativeCell &c,
-                  unsigned millis, std::uint64_t seed)
-{
-    native::shared_t sh =
-        native::tm_create_with(std::size_t{8192} * 8, 8, backend);
-    if (sh == native::invalid_shared)
-        return 0.0;
-    auto *base = static_cast<std::uint64_t *>(native::tm_start(sh));
-
-    native::TraceParams tp;
-    tp.seed = seed;
-    tp.threads = c.threads;
-    tp.words = 8192;
-    tp.txnsPerThread = 4096;
-    tp.opsPerTxn = c.opsPerTxn;
-    tp.writePct = c.writePct;
-    tp.theta = 0.7;
-    const native::WorkloadTrace trace = makeZipfianTrace(tp);
-
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::vector<std::uint64_t> commits(c.threads, 0);
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < c.threads; ++t) {
-        threads.emplace_back([&, t] {
-            const auto &stream = trace.perThread[t];
-            std::vector<bool> ro(stream.size(), true);
-            for (std::size_t i = 0; i < stream.size(); ++i) {
-                for (const auto &op : stream[i].ops)
-                    ro[i] = ro[i] && !op.isWrite;
-            }
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            std::uint64_t mine = 0;
-            std::size_t next = 0;
-            while (!stop.load(std::memory_order_relaxed)) {
-                const native::TraceTxn &txn = stream[next];
-                const bool is_ro = ro[next];
-                if (++next == stream.size())
-                    next = 0;
-            retry:
-                const native::tx_t tx = native::tm_begin(sh, is_ro);
-                for (const auto &op : txn.ops) {
-                    std::uint64_t v = op.value;
-                    const bool ok =
-                        op.isWrite
-                            ? native::tm_write(sh, tx, &v, 8,
-                                               &base[op.word])
-                            : native::tm_read(sh, tx, &base[op.word],
-                                              8, &v);
-                    if (!ok)
-                        goto retry;
-                }
-                if (!native::tm_end(sh, tx))
-                    goto retry;
-                ++mine;
-            }
-            commits[t] = mine;
-        });
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::milliseconds(millis));
-    stop.store(true, std::memory_order_relaxed);
-    for (auto &th : threads)
-        th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    std::uint64_t total = 0;
-    for (const std::uint64_t n : commits)
-        total += n;
-    const double secs =
-        std::chrono::duration<double>(t1 - t0).count();
-    native::tm_destroy(sh);
-    return secs <= 0.0 ? 0.0
-                       : static_cast<double>(total) * c.opsPerTxn /
-                             secs;
-}
-
-NativeCell
-measureNativeCell()
-{
-    NativeCell c;
-    // Interleave the backends' windows (as the grader does) so a
-    // noisy phase on a shared box cannot penalize one side.
-    for (unsigned r = 0; r < 3; ++r) {
-        c.tl2OpsPerSec = std::max(
-            c.tl2OpsPerSec,
-            measureNativeOnce(native::Backend::Tl2, c, 100, 1 + r));
-        c.glOpsPerSec = std::max(
-            c.glOpsPerSec,
-            measureNativeOnce(native::Backend::GlobalLock, c, 100,
-                              1 + r));
-    }
-    return c;
-}
-/// @}
 
 } // anonymous namespace
 
@@ -497,69 +410,36 @@ main(int argc, char **argv)
     if (!check_path.empty())
         jobs = 1;  // the gate wants the stable serial wall clock
 
-    const std::vector<Cell> cells = buildMatrix(quick);
+    std::vector<Section> sections = buildSections(quick);
+    const Section &matrix = sections.front();
     std::fprintf(stderr,
                  "perf_sim: %zu cells (%s), %u job%s ...\n",
-                 cells.size(), quick ? "quick" : "full", jobs,
+                 matrix.cells.size(), quick ? "quick" : "full", jobs,
                  jobs == 1 ? "" : "s");
 
-    // Serial pass: the single-thread trajectory number.
-    Totals serial;
-    if (!runMatrix(cells, 1, serial))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: serial %.2fs, %.0f Mcycles/s, "
-                 "%llu commits\n",
-                 serial.wallSeconds, serial.cyclesPerSecond() / 1e6,
-                 static_cast<unsigned long long>(serial.commits));
+    // Serial pass over every section: the single-thread trajectory
+    // numbers.
+    for (Section &s : sections) {
+        if (!runCells(s.cells, 1, s.current))
+            return 1;
+        std::fprintf(stderr,
+                     "perf_sim: %s serial %.2fs, %.0f Mcycles/s, "
+                     "%llu sim cycles, %llu commits\n",
+                     s.name.c_str(), s.current.wallSeconds,
+                     s.current.cyclesPerSecond() / 1e6,
+                     static_cast<unsigned long long>(s.current.simCycles),
+                     static_cast<unsigned long long>(s.current.commits));
+    }
 
-    // Parallel pass (skipped when it would repeat the serial pass).
-    Totals parallel = serial;
+    // Parallel pass over the matrix (skipped when it would repeat the
+    // serial pass).
+    Totals parallel = matrix.current;
     if (jobs > 1) {
-        if (!runMatrix(cells, jobs, parallel))
+        if (!runCells(matrix.cells, jobs, parallel))
             return 1;
         std::fprintf(stderr, "perf_sim: parallel(%u) %.2fs\n", jobs,
                      parallel.wallSeconds);
     }
-
-    // One DRAM-backend cell, tracked beside (not inside) the frozen
-    // 54-cell matrix so the flat-latency trajectory numbers stay
-    // comparable across PRs that predate the backend.
-    const std::vector<Cell> dramCells = {
-        Cell{RuntimeKind::FlexTmEager, WorkloadKind::HashTable, 7000,
-             /*dram=*/true}};
-    Totals dram;
-    if (!runMatrix(dramCells, 1, dram))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: dram cell %.2fs, %llu sim cycles\n",
-                 dram.wallSeconds,
-                 static_cast<unsigned long long>(dram.simCycles));
-
-    // One HyTM cell, also beside the frozen matrix (the 6-runtime
-    // matrix predates the hybrid runtime and must stay frozen).
-    const std::vector<Cell> hytmCells = {
-        Cell{RuntimeKind::HyTm, WorkloadKind::HashTable, 7200}};
-    Totals hytm;
-    if (!runMatrix(hytmCells, 1, hytm))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: hytm cell %.2fs, %llu sim cycles\n",
-                 hytm.wallSeconds,
-                 static_cast<unsigned long long>(hytm.simCycles));
-
-    // One contention-management cell: the adversarial hot-spot storm
-    // under TimestampGreedy, beside the frozen (all-Polka) matrix.
-    const std::vector<Cell> cmCells = {
-        Cell{RuntimeKind::FlexTmEager, WorkloadKind::HotSpot, 7400,
-             /*dram=*/false, CmPolicy::TimestampGreedy}};
-    Totals cm;
-    if (!runMatrix(cmCells, 1, cm))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: cm cell %.2fs, %llu sim cycles\n",
-                 cm.wallSeconds,
-                 static_cast<unsigned long long>(cm.simCycles));
 
     if (quick) {
         std::fprintf(stderr, "perf_sim: quick mode, no JSON output\n");
@@ -573,26 +453,20 @@ main(int argc, char **argv)
                          check_path.c_str());
             return 1;
         }
-        Totals refFlat, refDram, refHytm, refCm;
-        if (!loadTotals(ref_text, "current", refFlat) ||
-            !loadTotals(ref_text, "dram_current", refDram) ||
-            !loadTotals(ref_text, "hytm_current", refHytm) ||
-            !loadTotals(ref_text, "cm_current", refCm)) {
-            std::fprintf(stderr,
-                         "perf_sim: %s lacks the current sections "
-                         "needed for --check\n",
-                         check_path.c_str());
-            return 1;
-        }
         bool ok = true;
-        ok &= checkSection("flat", refFlat, serial, max_regress_pct,
-                           slack_seconds);
-        ok &= checkSection("dram", refDram, dram, max_regress_pct,
-                           slack_seconds);
-        ok &= checkSection("hytm", refHytm, hytm, max_regress_pct,
-                           slack_seconds);
-        ok &= checkSection("cm", refCm, cm, max_regress_pct,
-                           slack_seconds);
+        for (const Section &s : sections) {
+            Totals ref;
+            if (!loadTotals(ref_text, s.key("current"), ref)) {
+                std::fprintf(stderr,
+                             "perf_sim: %s lacks the %s section "
+                             "needed for --check\n",
+                             check_path.c_str(),
+                             s.key("current").c_str());
+                return 1;
+            }
+            ok &= checkSection(s.name, ref, s.current, max_regress_pct,
+                               slack_seconds);
+        }
         if (!ok) {
             std::fprintf(stderr,
                          "perf_sim: wall-clock regression gate FAILED "
@@ -605,85 +479,49 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Native libflextm throughput cell: real host ops/sec on the
-    // grader's acceptance mix.  Informational (machine-dependent
-    // wall time, no simulated-work identity), so it runs only when
-    // a full JSON is being written.
-    const NativeCell nativeCell = measureNativeCell();
+    // Native libflextm throughput on the grader's acceptance mix, in
+    // short windows.  Informational (machine-dependent wall time, no
+    // simulated-work identity), so it runs only when a full JSON is
+    // being written.
+    bench::NativeMix nativeMix;
+    nativeMix.millis = 100;
+    nativeMix.rounds = 3;
+    const bench::NativeBest native = bench::interleavedBest(nativeMix);
     std::fprintf(stderr,
                  "perf_sim: native cell tl2 %.0f ops/s, "
                  "global-lock %.0f ops/s\n",
-                 nativeCell.tl2OpsPerSec, nativeCell.glOpsPerSec);
+                 native.tl2, native.globalLock);
 
+    // Each section's baseline comes from the existing file, or is
+    // this run when the file lacks it (or on --record-baseline).
     std::string prior;
-    Totals baseline;
-    bool have_baseline = false;
-    Totals dramBaseline;
-    bool have_dram_baseline = false;
-    Totals hytmBaseline;
-    bool have_hytm_baseline = false;
-    Totals cmBaseline;
-    bool have_cm_baseline = false;
-    if (!record_baseline && readFile(out_path, prior)) {
-        have_baseline = loadTotals(prior, "baseline", baseline);
-        have_dram_baseline =
-            loadTotals(prior, "dram_baseline", dramBaseline);
-        have_hytm_baseline =
-            loadTotals(prior, "hytm_baseline", hytmBaseline);
-        have_cm_baseline = loadTotals(prior, "cm_baseline", cmBaseline);
-    }
-    if (!have_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no baseline in %s; recording this "
-                         "run as the baseline\n",
-                         out_path.c_str());
-        baseline = serial;
-        have_baseline = true;
-    }
-    if (!have_dram_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no dram baseline in %s; recording "
-                         "this run's dram cell as its baseline\n",
-                         out_path.c_str());
-        dramBaseline = dram;
-        have_dram_baseline = true;
-    }
-    if (!have_hytm_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no hytm baseline in %s; recording "
-                         "this run's hytm cell as its baseline\n",
-                         out_path.c_str());
-        hytmBaseline = hytm;
-        have_hytm_baseline = true;
-    }
-    if (!have_cm_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no cm baseline in %s; recording "
-                         "this run's cm cell as its baseline\n",
-                         out_path.c_str());
-        cmBaseline = cm;
-        have_cm_baseline = true;
-    }
-
-    // Same matrix => same simulated work.  A mismatch means a perf
-    // change altered simulation behaviour; fail loudly.
-    if (!matrixMatches("flat", baseline, serial) ||
-        !matrixMatches("dram", dramBaseline, dram) ||
-        !matrixMatches("hytm", hytmBaseline, hytm) ||
-        !matrixMatches("cm", cmBaseline, cm)) {
-        return 1;
+    const bool have_prior = !record_baseline && readFile(out_path, prior);
+    std::vector<Totals> baselines;
+    for (const Section &s : sections) {
+        Totals b;
+        if (!have_prior || !loadTotals(prior, s.key("baseline"), b)) {
+            if (!record_baseline)
+                std::fprintf(stderr,
+                             "perf_sim: no %s section in %s; recording "
+                             "this run as its baseline\n",
+                             s.key("baseline").c_str(),
+                             out_path.c_str());
+            b = s.current;
+        }
+        // Same cells => same simulated work.  A mismatch means a perf
+        // change altered simulation behaviour; fail loudly.
+        if (!matrixMatches(s.name, b, s.current))
+            return 1;
+        baselines.push_back(b);
     }
 
     const double speedup_serial =
-        serial.wallSeconds > 0 ? baseline.wallSeconds / serial.wallSeconds
-                               : 0.0;
+        matrix.current.wallSeconds > 0
+            ? baselines.front().wallSeconds / matrix.current.wallSeconds
+            : 0.0;
     const double speedup_best =
         parallel.wallSeconds > 0
-            ? baseline.wallSeconds / parallel.wallSeconds
+            ? baselines.front().wallSeconds / parallel.wallSeconds
             : speedup_serial;
 
     std::FILE *f = std::fopen(out_path.c_str(), "w");
@@ -708,19 +546,14 @@ main(int argc, char **argv)
                  "    \"threads\": %u,\n"
                  "    \"total_ops\": %u\n"
                  "  },\n",
-                 max_regress_pct, kSeedsPerCell, cells.size(), kThreads,
-                 kTotalOps);
-    writeSection(f, "baseline", baseline, true);
-    writeSection(f, "current", serial, true);
-    writeSection(f, "current_parallel", parallel, true);
-    writeSection(f, "dram_baseline", dramBaseline, true);
-    writeSection(f, "dram_current", dram, true);
-    writeSection(f, "hytm_baseline", hytmBaseline, true);
-    writeSection(f, "hytm_current", hytm, true);
-    writeSection(f, "cm_baseline", cmBaseline, true);
-    writeSection(f, "cm_current", cm, true);
-    // Schema-6 native cell: host throughput of the native library
-    // (trajectory only - excluded from identity and --check gates).
+                 max_regress_pct, kSeedsPerCell, matrix.cells.size(),
+                 kThreads, kTotalOps);
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+        writeSection(f, sections[i].key("baseline"), baselines[i]);
+        writeSection(f, sections[i].key("current"), sections[i].current);
+        if (i == 0)
+            writeSection(f, "current_parallel", parallel);
+    }
     std::fprintf(f,
                  "  \"native\": {\n"
                  "    \"tl2_ops_per_sec\": %.0f,\n"
@@ -729,9 +562,8 @@ main(int argc, char **argv)
                  "    \"ops_per_txn\": %u,\n"
                  "    \"write_pct\": %u\n"
                  "  },\n",
-                 nativeCell.tl2OpsPerSec, nativeCell.glOpsPerSec,
-                 nativeCell.threads, nativeCell.opsPerTxn,
-                 nativeCell.writePct);
+                 native.tl2, native.globalLock, nativeMix.threads,
+                 nativeMix.opsPerTxn, nativeMix.writePct);
     std::fprintf(f,
                  "  \"speedup_serial\": %.3f,\n"
                  "  \"speedup_best\": %.3f\n"
@@ -742,6 +574,6 @@ main(int argc, char **argv)
                  "perf_sim: wrote %s (serial speedup %.2fx, best "
                  "%.2fx vs baseline %.2fs)\n",
                  out_path.c_str(), speedup_serial, speedup_best,
-                 baseline.wallSeconds);
+                 baselines.front().wallSeconds);
     return 0;
 }

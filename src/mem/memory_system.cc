@@ -215,19 +215,15 @@ MemorySystem::memoQuery(const Signature &sig, SigMemo &m, Addr addr)
 bool
 MemorySystem::wsigMayContain(CoreId k, Addr addr)
 {
-    const Signature &sig = contexts_[k].wsig;
-    if (!cfg_.dirSharerCache)
-        return sig.mayContain(addr);
-    return memoQuery(sig, sharerCache_[lineAlign(addr) | k].w, addr);
+    return memoQuery(contexts_[k].wsig, sharerCache_[lineAlign(addr) | k].w,
+                     addr);
 }
 
 bool
 MemorySystem::rsigMayContain(CoreId k, Addr addr)
 {
-    const Signature &sig = contexts_[k].rsig;
-    if (!cfg_.dirSharerCache)
-        return sig.mayContain(addr);
-    return memoQuery(sig, sharerCache_[lineAlign(addr) | k].r, addr);
+    return memoQuery(contexts_[k].rsig, sharerCache_[lineAlign(addr) | k].r,
+                     addr);
 }
 
 Cycles

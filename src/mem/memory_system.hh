@@ -246,8 +246,7 @@ class MemorySystem
      * against the signature's (generation, insertCount) version on
      * every use - see Signature::generation() for the contract - so
      * the cache never needs invalidation hooks and cannot change
-     * simulated behaviour (MachineConfig::dirSharerCache gates it
-     * for debugging only).
+     * simulated behaviour.
      */
     struct SigMemo
     {

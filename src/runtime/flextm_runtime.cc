@@ -79,11 +79,10 @@ FlexTmThread::beginTx()
     g_.karma[core_] = m_.progress().bonusKarma(tid_);
     txConflictMask_ = 0;
 
-    // Duality (auditor invariant I5) only holds while commit/abort
-    // retire our bits from remote CSTs, i.e. with self-clean on.
+    // Duality (auditor invariant I5) holds because commit/abort
+    // retire our bits from remote CSTs (selfCleanRemoteCsts).
     if (StateAuditor *a = m_.memsys().auditor())
-        a->noteTxBegin(core_, tid_, tswAddr_, TswActive,
-                       g_.cstSelfClean);
+        a->noteTxBegin(core_, tid_, tswAddr_, TswActive, true);
 
     // Register checkpointing: spill of local registers to the stack
     // (the paper's main remaining software overhead; Section 7.3).
@@ -361,8 +360,7 @@ FlexTmThread::injectRemoteAbort()
 void
 FlexTmThread::selfCleanRemoteCsts(const CstSet &cst)
 {
-    if (!g_.cstSelfClean)
-        return;
+    // The "clean itself out of X's W-R" optimization (Section 3.6):
     // CST registers are software-visible (Section 3.2); retiring our
     // bits from peers avoids spuriously aborting their next
     // transactions.

@@ -59,10 +59,6 @@ struct FlexTmGlobals
     /** Per-core Polka priority of the running transaction. */
     std::vector<std::uint64_t> karma;
 
-    /** Commit/abort-time cleanup of our bits in remote CSTs, the
-     *  "clean itself out of X's W-R" optimization (Section 3.6). */
-    bool cstSelfClean = true;
-
     /**
      * Deliberate-bug switch for oracle self-tests: commit without
      * aborting W-R enemies (readers of our write set survive with

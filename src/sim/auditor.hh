@@ -133,9 +133,9 @@ class StateAuditor
     /** A hardware transaction began on @p core.  @p tsw_active is the
      *  TSW encoding of "still running" at @p tsw (the auditor peeks
      *  it to exclude doomed transactions from I5).  @p tracks_csts
-     *  opts the core into I4/I5 (FlexTM with self-clean enabled);
-     *  RTM-F passes false: it never consumes its CSTs, so remote
-     *  bits toward it decay legitimately. */
+     *  opts the core into I4/I5 (FlexTM, which self-cleans remote
+     *  CSTs at commit/abort); RTM-F passes false: it never consumes
+     *  its CSTs, so remote bits toward it decay legitimately. */
     void noteTxBegin(CoreId core, ThreadId tid, Addr tsw,
                      std::uint32_t tsw_active, bool tracks_csts);
     void noteTxEnd(CoreId core);

@@ -256,14 +256,6 @@ struct MachineConfig
     /** Machine-wide contention-management policy (the
      *  FLEXTM_CM_POLICY environment variable can override). */
     CmPolicy cmPolicy = CmPolicy::Polka;
-
-    /**
-     * Directory sharer cache (host-side speedup only): memoize
-     * per-core signature membership per line so directory loops skip
-     * repeated Bloom probes.  Exact - results are identical with the
-     * cache on or off; the knob exists to isolate it when debugging.
-     */
-    bool dirSharerCache = true;
 };
 
 } // namespace flextm

@@ -10,8 +10,8 @@
  * reported through fatal() with the variable name, the offending
  * value, and what would have been accepted.  Silently falling back
  * (the old behaviour at most sites) turned typos like
- * FLEXTM_JOBS=1O or FLEXTM_SCHED=legcay into hours of confusion: the
- * run proceeds, just not the run that was asked for.
+ * FLEXTM_JOBS=1O or FLEXTM_CM_POLICY=polkka into hours of confusion:
+ * the run proceeds, just not the run that was asked for.
  */
 
 #ifndef FLEXTM_SIM_ENV_UTIL_HH

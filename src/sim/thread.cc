@@ -1,10 +1,7 @@
 #include "sim/thread.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 
-#include "sim/env_util.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 
@@ -120,20 +117,6 @@ SimThread::trampoline()
     sched->threadExit();
 }
 
-bool
-envSchedLegacy()
-{
-    // FLEXTM_SCHED=legcay silently meant heap mode before the strict
-    // parse - the worst kind of A/B comparison, where both sides run
-    // the same scheduler.
-    return env::choiceOr("FLEXTM_SCHED", {"legacy", "heap"}) == 0;
-}
-
-Scheduler::Scheduler()
-{
-    legacy_ = envSchedLegacy();
-}
-
 void
 Scheduler::setStackBytes(std::size_t bytes)
 {
@@ -160,8 +143,7 @@ Scheduler::spawn(CoreId core, std::function<void()> body)
     const auto tid = static_cast<ThreadId>(threads_.size());
     threads_.push_back(std::make_unique<SimThread>(
         *this, tid, core, std::move(body), stackBytes_));
-    if (!legacy_)
-        heapPush(threads_.back().get());
+    heapPush(threads_.back().get());
     return tid;
 }
 
@@ -282,8 +264,8 @@ Scheduler::pickHeap(SimThread *self)
 
     // Schedule perturbation: any runnable thread close enough to the
     // minimum clock may run next.  Candidates are enumerated in tid
-    // order (the legacy scan order) and the RNG is drawn exactly once
-    // per dispatch, only when more than one thread is in the window.
+    // order and the RNG is drawn exactly once per dispatch, only when
+    // more than one thread is in the window.
     const Cycles limit = minT->clock_ + window_;
     windowBuf_.clear();
     if (self && self->clock_ <= limit)
@@ -306,34 +288,6 @@ Scheduler::pickHeap(SimThread *self)
     return windowBuf_[fault_->pickIndex(windowBuf_.size())];
 }
 
-SimThread *
-Scheduler::pickNext()
-{
-    SimThread *best = nullptr;
-    for (const auto &t : threads_) {
-        if (t->state() != SimThread::State::Runnable)
-            continue;
-        if (!best || t->clock() < best->clock())
-            best = t.get();
-    }
-    if (!best || !fault_ || fault_->config().schedWindowCycles == 0)
-        return best;
-
-    // Schedule perturbation: any runnable thread close enough to the
-    // minimum clock may run next.
-    const Cycles limit = best->clock() + fault_->config().schedWindowCycles;
-    std::vector<SimThread *> cands;
-    for (const auto &t : threads_) {
-        if (t->state() == SimThread::State::Runnable &&
-            t->clock() <= limit) {
-            cands.push_back(t.get());
-        }
-    }
-    if (cands.size() <= 1)
-        return best;
-    return cands[fault_->pickIndex(cands.size())];
-}
-
 void
 Scheduler::switchTo(SimThread &t)
 {
@@ -352,52 +306,21 @@ Scheduler::switchTo(SimThread &t)
 void
 Scheduler::run()
 {
-    runLoop(nullptr);
-}
-
-void
-Scheduler::run(const std::function<bool()> &stop)
-{
-    runLoop(&stop);
-}
-
-void
-Scheduler::runLoop(const std::function<bool()> *stop)
-{
     sim_assert(current_ == nullptr, "run() is not reentrant");
-    stop_ = stop;
     sliceLeft_ = kWatchdogSlice;
-    if (legacy_) {
-        while (!(stop && (*stop)())) {
-            SimThread *next = pending_ ? pending_ : pickNext();
-            pending_ = nullptr;
+    for (;;) {
+        SimThread *next = pending_;
+        pending_ = nullptr;
+        if (!next) {
+            next = pickHeap(nullptr);
             if (!next)
                 break;
-            if (watchdog_)
-                watchdog_(next->clock());
-            switchTo(*next);
+            heapRemove(next);
         }
-    } else {
-        while (!(stop && (*stop)())) {
-            SimThread *next = pending_;
-            pending_ = nullptr;
-            if (!next) {
-                next = pickHeap(nullptr);
-                if (!next)
-                    break;
-                heapRemove(next);
-            }
-            if (watchdog_)
-                watchdog_(next->clock());
-            switchTo(*next);
-        }
-        // A stop-predicate exit can strand the already-picked thread:
-        // park it back in the heap so the next run() still sees it.
-        if (pending_)
-            heapPush(pending_);
+        if (watchdog_)
+            watchdog_(next->clock());
+        switchTo(*next);
     }
-    stop_ = nullptr;
-    pending_ = nullptr;
 }
 
 void
@@ -415,30 +338,7 @@ Scheduler::yield()
     SimThread &self = current();
     if (self.clock_ > maxSeen_)
         maxSeen_ = self.clock_;
-    if (legacy_) {
-        // Same-thread fast path (legacy core): when this thread would
-        // be dispatched again immediately, skip the two context
-        // switches (each a sigprocmask syscall inside swapcontext)
-        // and keep running.  The stop / pickNext / watchdog sequence
-        // below is exactly one iteration of run()'s loop, so the
-        // dispatch order - including the schedule-perturbation RNG
-        // draws in pickNext() - is bit-identical to the switching
-        // path.
-        if (self.state_ == SimThread::State::Runnable &&
-            (stop_ == nullptr || !(*stop_)())) {
-            SimThread *next = pickNext();
-            if (next == &self) {
-                if (watchdog_)
-                    watchdog_(self.clock());
-                return;
-            }
-            // Someone else's turn: hand the pick to run() so it is
-            // not repeated (the stop predicate is re-evaluated there,
-            // which is fine - predicates are pure cycle checks).
-            pending_ = next;
-        }
-    } else if (self.state_ == SimThread::State::Runnable &&
-               (stop_ == nullptr || !(*stop_)())) {
+    if (self.state_ == SimThread::State::Runnable) {
         if (window_ == 0) {
             // Run-slice fast path: keep executing while this thread
             // is the sole runnable or still the unique (clock, tid)
@@ -465,11 +365,6 @@ Scheduler::yield()
             heapPush(&self);
             pending_ = next;
         }
-    } else if (self.state_ == SimThread::State::Runnable) {
-        // Stop fired while this thread is still runnable: park it in
-        // the heap before unwinding to run(), which is about to
-        // return with the thread off-fiber.
-        heapPush(&self);
     }
     fiberSwitchStart(&self.asanFakeStack_, asanMainStackBottom_,
                      asanMainStackSize_);
@@ -500,8 +395,7 @@ Scheduler::wake(ThreadId tid)
     // the waker's clock so its next action cannot happen in the past.
     if (current_ != nullptr)
         t.syncClock(current_->clock());
-    if (!legacy_)
-        heapPush(&t);
+    heapPush(&t);
 }
 
 void

@@ -15,9 +15,7 @@
  * instead of a scan over every thread the machine ever spawned, and a
  * run-slice fast path lets the dispatched thread keep executing
  * through consecutive yields while it remains the unique minimum (or
- * sole runnable) thread.  FLEXTM_SCHED=legacy selects the original
- * scan-based core, kept verbatim as the equivalence oracle for the
- * scheduler teeth tests.
+ * sole runnable) thread.
  */
 
 #ifndef FLEXTM_SIM_THREAD_HH
@@ -95,34 +93,15 @@ class SimThread
 };
 
 /**
- * FLEXTM_SCHED dispatch-core selection: true for "legacy", false for
- * "heap" or when unset.  Any other spelling is fatal (a typo'd
- * "legacy" used to silently select heap mode, turning scheduler A/B
- * comparisons into A/A).
- */
-bool envSchedLegacy();
-
-/**
  * Min-clock cooperative scheduler.  Owns all simulated threads of one
- * machine.  run() executes until every thread has finished (or the
- * optional stop predicate fires).
+ * machine.  run() executes until every thread has finished.
  */
 class Scheduler
 {
   public:
-    /** Dispatch core: the indexed ready-heap (default) or the
-     *  original O(threads) scan kept as the equivalence oracle. */
-    enum class Mode
-    {
-        Heap,
-        Legacy,
-    };
-
-    Scheduler();
+    Scheduler() = default;
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
-
-    Mode mode() const { return legacy_ ? Mode::Legacy : Mode::Heap; }
 
     /** Fiber stack size for threads spawned after this call.  Must be
      *  at least kMinStackBytes (enough for the deepest simulator
@@ -139,12 +118,6 @@ class Scheduler
 
     /** Run until all threads have finished. */
     void run();
-
-    /**
-     * Run until @p stop returns true (checked between thread steps) or
-     * all threads finish, whichever is first.
-     */
-    void run(const std::function<bool()> &stop);
 
     /** Called from inside a thread: give up the host CPU. */
     void yield();
@@ -205,29 +178,23 @@ class Scheduler
 
     std::vector<std::unique_ptr<SimThread>> threads_;
     SimThread *current_ = nullptr;
-    /** run()'s stop predicate (null for the plain run()), exposed so
-     *  yield()'s same-thread fast path can keep the per-dispatch stop
-     *  cadence without the round-trip to the scheduler stack. */
-    const std::function<bool()> *stop_ = nullptr;
-    /** Thread already picked by yield()'s fast-path check when it
-     *  turned out not to be the yielder: run() dispatches it instead
-     *  of re-picking, so the pick (and any schedule-perturbation RNG
-     *  draw inside it) still runs exactly once per dispatch. */
+    /** Thread already picked by yield() when it turned out not to be
+     *  the yielder: run() dispatches it instead of re-picking, so the
+     *  pick (and any schedule-perturbation RNG draw inside it) runs
+     *  exactly once per dispatch. */
     SimThread *pending_ = nullptr;
     FaultPlan *fault_ = nullptr;
     /** Latched fault schedule window (0 = strict min-clock order). */
     Cycles window_ = 0;
     std::function<void(Cycles)> watchdog_;
     /** Binary min-heap over (clock, id) of the Runnable threads that
-     *  are not currently on a fiber (heap-mode dispatch source). */
+     *  are not currently on a fiber (the dispatch source). */
     std::vector<SimThread *> ready_;
     /** Reusable schedule-window candidate buffer (no per-dispatch
      *  allocation). */
     std::vector<SimThread *> windowBuf_;
     /** Incrementally maintained maxClock(). */
     Cycles maxSeen_ = 0;
-    /** FLEXTM_SCHED=legacy: original scan-based dispatch core. */
-    bool legacy_ = false;
     unsigned sliceLeft_ = kWatchdogSlice;
     std::size_t stackBytes_ = kDefaultStackBytes;
     ucontext_t mainCtx_;
@@ -239,8 +206,8 @@ class Scheduler
     const void *asanMainStackBottom_ = nullptr;
     std::size_t asanMainStackSize_ = 0;
 
-    /** (clock, id) lexicographic order - identical to the tid-order
-     *  strict-< scan of the legacy core. */
+    /** (clock, id) lexicographic order: ties go to the lower thread
+     *  id, i.e. spawn order. */
     static bool
     keyLess(const SimThread *a, const SimThread *b)
     {
@@ -248,9 +215,7 @@ class Scheduler
                (a->clock_ == b->clock_ && a->id_ < b->id_);
     }
 
-    void runLoop(const std::function<bool()> *stop);
-    SimThread *pickNext();
-    /** Heap-mode pick over ready_ plus the (runnable) yielder @p self
+    /** Pick over ready_ plus the (runnable) yielder @p self
      *  (null when called from the run() loop): min-key thread, or the
      *  single schedule-window RNG draw when the fault window admits
      *  more than one candidate.  Does not modify the heap. */

@@ -26,7 +26,6 @@ runFaultedExperiment(WorkloadKind wk, RuntimeKind rk,
         cfg.fault = FaultConfig::chaos(seed);
     else if (cfg.fault.seed == 0)
         cfg.fault.seed = seed;
-    cfg.cmPolicy = opt.cmPolicy;
 
     FaultRunResult res;
     res.seed = seed;
@@ -46,8 +45,9 @@ runFaultedExperiment(WorkloadKind wk, RuntimeKind rk,
     FlexTmGlobals *g = f.flexGlobals();
     if (g)
         g->chaosSkipWrAbort = opt.flexSkipWrAbort;
+    // FlexTM threads also take forced context switches through TxOs.
     std::unique_ptr<TxOs> os;
-    if (g && opt.installOsFaults && m.faultPlan() != nullptr)
+    if (g && m.faultPlan() != nullptr)
         os = std::make_unique<TxOs>(m, *g);
 
     std::unique_ptr<Workload> wl = makeWorkload(wk);

@@ -39,8 +39,6 @@ struct FaultRunOptions
     /** Fault mix.  Left default-constructed (nothing enabled), the
      *  harness substitutes FaultConfig::chaos(seed). */
     FaultConfig fault{};
-    /** Arm TxOs forced context switches on FlexTM threads. */
-    bool installOsFaults = true;
     /** Deliberate-bug switch (oracle teeth): commit FlexTM
      *  transactions without aborting W-R enemies. */
     bool flexSkipWrAbort = false;
@@ -48,8 +46,6 @@ struct FaultRunOptions
      *  this off: a deliberately corrupted structure may panic in
      *  verify before the oracle gets to report the seed. */
     bool runVerify = true;
-    /** Eager-mode conflict-management policy (FlexTM runtimes). */
-    CmPolicy cmPolicy = CmPolicy::Polka;
     /**
      * Every Nth operation of each thread requests irrevocability
      * for its next transaction (0 disables) - exercises the serial

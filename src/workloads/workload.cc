@@ -85,7 +85,6 @@ runCommon(WorkloadKind wk, RuntimeKind rk, const ExperimentOptions &opt)
     cfg.seed = opt.seed;
     if (cfg.cores < opt.threads)
         cfg.cores = opt.threads;
-    cfg.cmPolicy = opt.cmPolicy;
 
     Machine m(cfg);
     RuntimeFactory f(m, rk);

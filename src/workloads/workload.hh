@@ -86,8 +86,6 @@ struct ExperimentOptions
     /** Attach a compute-bound background task to each thread and
      *  yield to it on every abort (Figure 5e-f). */
     bool primeBackground = false;
-    /** Eager-mode conflict-management policy (FlexTM runtimes). */
-    CmPolicy cmPolicy = CmPolicy::Polka;
     /** Out-param style hook to observe the machine after the run. */
     std::function<void(Machine &)> inspect;
 };

@@ -184,7 +184,7 @@ TEST_P(CmAdversarialSweep, PackProgressesAndStaysSerializable)
         opt.threads = 4;
         opt.totalOps = 64;
         opt.quiet = true;
-        opt.cmPolicy = policy;
+        opt.machine.cmPolicy = policy;
         // Arm the auditor: an I9 violation (unjustified kill,
         // token-holder kill) panics the run and fails the sweep.
         opt.machine.auditor = AuditLevel::TxnBoundary;
@@ -278,7 +278,7 @@ TEST_P(CmPolicyFaultSweep, FiftyFourSeedsSerializable)
         opt.threads = 4;
         opt.totalOps = 64;
         opt.quiet = true;
-        opt.cmPolicy = policy;
+        opt.machine.cmPolicy = policy;
         results[i] = runFaultedExperiment(
             workloads[i / seedsPerCell], RuntimeKind::FlexTmEager,
             opt);

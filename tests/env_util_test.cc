@@ -16,7 +16,6 @@
 #include "sim/env_util.hh"
 #include "sim/fault.hh"
 #include "sim/parallel.hh"
-#include "sim/thread.hh"
 #include "sim/trace.hh"
 
 namespace flextm
@@ -113,22 +112,6 @@ TEST(EnvSite, JobsParsesAndSerializesZero)
     EXPECT_EQ(defaultJobs(), 3u);
     setenv("FLEXTM_JOBS", "0", 1);
     EXPECT_EQ(defaultJobs(), 1u);
-}
-
-TEST(EnvSiteDeath, Sched)
-{
-    ScopedEnv e("FLEXTM_SCHED", "legcay");
-    EXPECT_DEATH(envSchedLegacy(), "FLEXTM_SCHED");
-}
-
-TEST(EnvSite, SchedAcceptsBothCores)
-{
-    ScopedEnv e("FLEXTM_SCHED", "legacy");
-    EXPECT_TRUE(envSchedLegacy());
-    setenv("FLEXTM_SCHED", "heap", 1);
-    EXPECT_FALSE(envSchedLegacy());
-    unsetenv("FLEXTM_SCHED");
-    EXPECT_FALSE(envSchedLegacy());
 }
 
 TEST(EnvSiteDeath, Auditor)

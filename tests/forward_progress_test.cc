@@ -137,7 +137,7 @@ livelockProneOptions()
     opt.seed = 4321;
     opt.threads = 4;
     opt.totalOps = 48;
-    opt.cmPolicy = CmPolicy::Aggressive;
+    opt.machine.cmPolicy = CmPolicy::Aggressive;
     opt.fault.seed = 4321;
     opt.fault.schedWindowCycles = 64;
     opt.machine.progress.backoffShiftCap = 0;

@@ -135,7 +135,7 @@ TEST_P(CmPolicyTest, ConflictsResolveAndWorkCompletes)
     o.totalOps = 200;
     o.machine.cores = 8;
     o.machine.memoryBytes = 64u << 20;
-    o.cmPolicy = GetParam();
+    o.machine.cmPolicy = GetParam();
     const ExperimentResult r = runExperiment(
         WorkloadKind::LFUCache, RuntimeKind::FlexTmEager, o);
     EXPECT_EQ(r.commits, 200u);
@@ -161,7 +161,7 @@ TEST(CmPolicyBehaviour, TimidSelfAbortsAggressiveKills)
         o.totalOps = 200;
         o.machine.cores = 8;
         o.machine.memoryBytes = 64u << 20;
-        o.cmPolicy = p;
+        o.machine.cmPolicy = p;
         std::uint64_t count = 0;
         o.inspect = [&](Machine &m) {
             count = m.stats().counterValue(counter);

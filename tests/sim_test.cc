@@ -1,15 +1,18 @@
 /**
  * @file
  * Simulation-kernel unit tests: scheduler ordering and fairness,
- * barriers, the RNG/Zipf sampler, statistics, and the simulated
- * memory allocator.
+ * barriers, the ready-heap dispatch contract, the RNG/Zipf sampler,
+ * statistics, and the simulated memory allocator.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "sim/fault.hh"
 #include "sim/rng.hh"
 #include "sim/sim_memory.hh"
 #include "sim/stats.hh"
@@ -142,6 +145,127 @@ TEST(SchedulerTest, BarrierReusable)
     }
     s.run();
     EXPECT_EQ(log.size(), 6u);
+}
+
+// ---------------------------------------------------------------
+// Ready-heap dispatch contract.  The heap core replaced an
+// O(threads) scan that took the first runnable thread with the
+// smallest clock; every expectation below was recorded from that
+// scan core, so a failure here means the heap broke the dispatch
+// order (a scheduler bug, not a golden to regenerate).
+// ---------------------------------------------------------------
+
+/** syncClock on a thread parked in the ready heap must re-sift it:
+ *  thread 0 pushes thread 2's clock past thread 1's while thread 2
+ *  is parked, which must change who runs next. */
+TEST(SchedulerEquiv, SyncClockResiftsParkedThread)
+{
+    Scheduler s;
+    std::vector<int> order;
+    s.spawn(0, [&] {
+        order.push_back(0);
+        // Thread 2 is runnable at clock 0; shove it to 50 while it
+        // sits in the ready queue.
+        s.thread(2).syncClock(50);
+        s.advance(5);
+        s.yield();
+        order.push_back(0);
+    });
+    s.spawn(1, [&] {
+        order.push_back(1);
+        s.advance(100);
+        s.yield();
+        order.push_back(1);
+    });
+    s.spawn(2, [&] {
+        order.push_back(2);
+        s.advance(1);
+        s.yield();
+        order.push_back(2);
+    });
+    s.run();
+    // t0@0 runs, raises t2 to 50; t1@0, then t0@5 again (finishes),
+    // then t2@50 runs and yields to 51, then t2@51, then t1@100.
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 2, 2, 1}));
+}
+
+/** A barrier release wakes all parties at the releaser's clock; the
+ *  tied threads must drain in thread-id order. */
+TEST(SchedulerEquiv, WakeFromBlockedDispatchesInIdOrder)
+{
+    Scheduler s;
+    SimBarrier bar(s, 4);
+    std::vector<int> order;
+    for (unsigned t = 0; t < 4; ++t) {
+        s.spawn(t, [&s, &bar, &order, t] {
+            // Distinct arrival clocks so the release point is reached
+            // by exactly one thread.
+            s.advance((3 - t) * 7 + 1);
+            s.yield();
+            bar.wait();
+            order.push_back(static_cast<int>(t));
+            s.advance(1);
+            s.yield();
+            order.push_back(static_cast<int>(t));
+        });
+    }
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
+}
+
+/** The schedule-window contract: exactly one RNG draw per dispatch
+ *  that has more than one candidate inside the window, zero draws
+ *  otherwise, candidates in tid order - hence the scan core's exact
+ *  draw count and dispatch order. */
+TEST(SchedulerEquiv, WindowDrawCountMatchesLegacy)
+{
+    FaultConfig cfg;
+    cfg.seed = 1234;
+    cfg.schedWindowCycles = 8;
+    FaultPlan plan;
+    plan.configure(cfg, 1);
+
+    Scheduler s;
+    s.setFaultPlan(&plan);
+    std::string order;
+    for (unsigned t = 0; t < 3; ++t) {
+        s.spawn(t, [&s, &order, t] {
+            for (int i = 0; i < 40; ++i) {
+                order += static_cast<char>('0' + t);
+                s.advance(3);  // clocks stay within the window
+                s.yield();
+            }
+        });
+    }
+    s.run();
+    // 3 threads x 40 steps = 120 dispatches; the last one, with a
+    // single thread left, draws nothing.
+    EXPECT_EQ(plan.pickCalls(), 119u);
+    EXPECT_EQ(order,
+              "211210200002021112200221112102200121200001112100102022"
+              "112010102101212010220200212010222112112102110022002211"
+              "110101220200");
+}
+
+/** A sole runnable thread never consults the RNG, window or not. */
+TEST(SchedulerEquiv, SoleRunnableNeverDraws)
+{
+    FaultConfig cfg;
+    cfg.seed = 99;
+    cfg.schedWindowCycles = 64;
+    FaultPlan plan;
+    plan.configure(cfg, 1);
+
+    Scheduler s;
+    s.setFaultPlan(&plan);
+    s.spawn(0, [&s] {
+        for (int i = 0; i < 100; ++i) {
+            s.advance(2);
+            s.yield();
+        }
+    });
+    s.run();
+    EXPECT_EQ(plan.pickCalls(), 0u);
 }
 
 TEST(RngTest, DeterministicPerSeed)
