@@ -94,56 +94,40 @@ CmPolicyBase::irrevocableStalls(TxThread &t)
 }
 
 void
-CmPolicyBase::checkHooks(const PolkaHooks &hooks)
+CmPolicyBase::noteConflict(TxThread &self, const CmEnemy &enemy)
 {
-    sim_assert(hooks.enemyActive && hooks.abortEnemy &&
-                   hooks.enemyKarma && hooks.enemyIrrevocable,
-               "conflict-manager hooks incomplete (enemyActive, "
-               "abortEnemy, enemyKarma and enemyIrrevocable are all "
-               "mandatory)");
-}
-
-void
-CmPolicyBase::noteConflict(TxThread &self, const PolkaHooks &hooks)
-{
-    if (!hooks.enemyCore)
-        return;
     if (StateAuditor *a = self.machine().memsys().auditor())
-        a->noteCmConflict(self.core(), hooks.enemyCore());
+        a->noteCmConflict(self.core(), enemy.core());
 }
 
 void
-CmPolicyBase::killEnemy(TxThread &self, const PolkaHooks &hooks)
+CmPolicyBase::killEnemy(TxThread &self, CmEnemy &enemy)
 {
-    if (hooks.enemyCore) {
-        // The policy's irrevocability check may sit on the far side
-        // of a yield (enemyKarma charges simulated time for the
-        // descriptor read), and the token is only ever acquired at
-        // transaction begin: an enemy that is irrevocable *now*
-        // grabbed the token in such a window and must not be killed.
-        // Re-checked through the host-side peek (enemyIrrevocable
-        // may charge cycles in lock-based runtimes).  Skipping is
-        // safe - if the conflict is still real it recurs, and the
-        // next resolve round sees the token and stalls.
-        const CoreId victim = hooks.enemyCore();
-        if (victim != invalidCore &&
-            self.machine().progress().isIrrevocableCore(victim))
-            return;
-        if (StateAuditor *a = self.machine().memsys().auditor()) {
-            // In lock-based runtimes the owner may have changed since
-            // the conflict was first observed (resolve loops yield
-            // between protocol actions), so re-record the conflict
-            // against the enemy as identified *now* - both peeks are
-            // host-side with no yield in between, so the justification
-            // and the kill note name the same core.  I9's teeth are
-            // kills with no conflict path at all and kills of the
-            // irrevocability-token holder.
-            a->noteCmConflict(self.core(), hooks.enemyCore());
-            a->noteEnemyAbort(self.machine().scheduler().now(),
-                              self.core(), hooks.enemyCore());
-        }
+    // The policy's irrevocability check may sit on the far side of a
+    // yield (karma() charges simulated time for the descriptor
+    // read), and the token is only ever acquired at transaction
+    // begin: an enemy that is irrevocable *now* grabbed the token in
+    // such a window and must not be killed.  Re-checked through the
+    // host-side peek (irrevocable() may charge cycles in lock-based
+    // runtimes).  Skipping is safe - if the conflict is still real
+    // it recurs, and the next resolve round sees the token and
+    // stalls.
+    const CoreId victim = enemy.core();
+    if (victim != invalidCore &&
+        self.machine().progress().isIrrevocableCore(victim))
+        return;
+    if (StateAuditor *a = self.machine().memsys().auditor()) {
+        // In lock-based runtimes the owner may have changed since the
+        // conflict was first observed (resolve loops yield between
+        // protocol actions), so re-record the conflict against the
+        // enemy as identified *now*, by the same peek as the kill
+        // note.  I9's teeth are kills with no conflict path at all
+        // and kills of the irrevocability-token holder.
+        a->noteCmConflict(self.core(), victim);
+        a->noteEnemyAbort(self.machine().scheduler().now(),
+                          self.core(), victim);
     }
-    hooks.abortEnemy();
+    enemy.abort();
     ++enemyAborts(self);
 }
 
@@ -171,34 +155,38 @@ CmPolicyBase::selfAbort(TxThread &self)
     throw TxAbort{AbortCause::CmSelf};
 }
 
+bool
+CmPolicyBase::enemyContestable(TxThread &self, CmEnemy &enemy,
+                               unsigned &interval)
+{
+    for (;; ++interval) {
+        if (!enemy.active())
+            return false;
+        noteConflict(self, enemy);
+        self.pollAbort();
+        // The serial-irrevocable fallback overrides every policy: an
+        // irrevocable enemy may not be aborted; stall (noticing our
+        // own death via pollAbort above) until it drains.
+        if (!enemy.irrevocable())
+            return true;
+        stallRound(self, interval);
+    }
+}
+
 void
 CmPolicyBase::karmaResolve(TxThread &self, std::uint64_t my_karma,
-                           const PolkaHooks &hooks, bool aggressive)
+                           CmEnemy &enemy, bool aggressive)
 {
     const unsigned max_patience =
         self.machine().config().progress.cmMaxPatience;
-    for (unsigned interval = 0;;) {
-        if (!hooks.enemyActive())
-            return;
-        noteConflict(self, hooks);
-        if (hooks.alertCheck)
-            hooks.alertCheck();
-
-        // The serial-irrevocable fallback overrides every policy:
-        // an irrevocable enemy may not be aborted; stall (noticing
-        // our own death via alertCheck above) until it drains.
-        if (hooks.enemyIrrevocable()) {
-            stallRound(self, interval);
-            ++interval;
-            continue;
-        }
-
+    for (unsigned interval = 0; enemyContestable(self, enemy, interval);
+         ++interval) {
         if (aggressive) {
-            killEnemy(self, hooks);
+            killEnemy(self, enemy);
             return;
         }
 
-        const std::uint64_t enemy_karma = hooks.enemyKarma();
+        const std::uint64_t enemy_karma = enemy.karma();
         // Patience proportional to the priority deficit, capped;
         // always wait at least one interval so karma ties don't
         // degenerate into instant mutual kills.
@@ -211,17 +199,16 @@ CmPolicyBase::karmaResolve(TxThread &self, std::uint64_t my_karma,
             patience = 1;
 
         if (interval >= patience) {
-            killEnemy(self, hooks);
+            killEnemy(self, enemy);
             return;
         }
         // Randomized exponential back-off interval.
         backoffRound(self, interval);
-        ++interval;
     }
 }
 
 void
-CmPolicyBase::lazyCommitGate(TxThread &, const LazyCommitView &)
+CmPolicyBase::lazyCommitGate(TxThread &, std::uint64_t)
 {
     // Committer wins: at CAS-Commit the committer sits at its
     // linearization point; the kills that follow are justified by
@@ -229,8 +216,7 @@ CmPolicyBase::lazyCommitGate(TxThread &, const LazyCommitView &)
 }
 
 void
-CmPolicyBase::lockWaitRound(TxThread &self, const PolkaHooks &,
-                            unsigned round)
+CmPolicyBase::lockWaitRound(TxThread &self, unsigned round)
 {
     // Historical TL2 owner wait: bounded patience, then yield the
     // attempt (the committing owner drains in bounded time, but a
@@ -272,10 +258,9 @@ class PolkaPolicy : public CmPolicyBase
 
     void
     resolve(TxThread &self, std::uint64_t my_karma,
-            const PolkaHooks &hooks) override
+            CmEnemy &enemy) override
     {
-        checkHooks(hooks);
-        karmaResolve(self, my_karma, hooks, false);
+        karmaResolve(self, my_karma, enemy, false);
     }
 };
 
@@ -286,10 +271,9 @@ class AggressivePolicy : public CmPolicyBase
 
     void
     resolve(TxThread &self, std::uint64_t my_karma,
-            const PolkaHooks &hooks) override
+            CmEnemy &enemy) override
     {
-        checkHooks(hooks);
-        karmaResolve(self, my_karma, hooks, true);
+        karmaResolve(self, my_karma, enemy, true);
     }
 };
 
@@ -299,12 +283,10 @@ class TimidPolicy : public CmPolicyBase
     TimidPolicy() : CmPolicyBase(CmPolicy::Timid) {}
 
     void
-    resolve(TxThread &self, std::uint64_t,
-            const PolkaHooks &hooks) override
+    resolve(TxThread &self, std::uint64_t, CmEnemy &enemy) override
     {
-        checkHooks(hooks);
-        if (hooks.enemyActive()) {
-            noteConflict(self, hooks);
+        if (enemy.active()) {
+            noteConflict(self, enemy);
             selfAbort(self);
         }
     }
@@ -325,49 +307,26 @@ class TimestampGreedyPolicy : public CmPolicyBase
     }
 
     void
-    resolve(TxThread &self, std::uint64_t my_karma,
-            const PolkaHooks &hooks) override
+    resolve(TxThread &self, std::uint64_t, CmEnemy &enemy) override
     {
-        checkHooks(hooks);
-        if (!hooks.enemyCore) {
-            // No identity to stamp (scripted conflicts): karma order
-            // is the closest total order available.
-            karmaResolve(self, my_karma, hooks, false);
+        unsigned interval = 0;
+        if (!enemyContestable(self, enemy, interval))
+            return;
+        // The token holder may not die and the enemy is not the
+        // holder: take it down.  Otherwise the older stamp wins.
+        ProgressManager &pm = self.machine().progress();
+        if (self.irrevocable() ||
+            pm.arbitrationStamp(self.core()) <=
+                pm.arbitrationStamp(enemy.core())) {
+            killEnemy(self, enemy);
             return;
         }
-        ProgressManager &pm = self.machine().progress();
-        for (unsigned interval = 0;;) {
-            if (!hooks.enemyActive())
-                return;
-            noteConflict(self, hooks);
-            if (hooks.alertCheck)
-                hooks.alertCheck();
-            if (hooks.enemyIrrevocable()) {
-                stallRound(self, interval);
-                ++interval;
-                continue;
-            }
-            if (self.irrevocable()) {
-                // Token holder: may not die, enemy is not the
-                // holder - take it down.
-                killEnemy(self, hooks);
-                return;
-            }
-            const std::uint64_t mine =
-                pm.arbitrationStamp(self.core());
-            const std::uint64_t theirs =
-                pm.arbitrationStamp(hooks.enemyCore());
-            if (mine <= theirs) {
-                killEnemy(self, hooks);
-                return;
-            }
-            selfAbort(self);
-        }
+        selfAbort(self);
     }
 
     void
     lazyCommitGate(TxThread &self,
-                   const LazyCommitView &view) override
+                   std::uint64_t active_enemies) override
     {
         // Kill only younger enemies: an older active enemy wins the
         // commit race - yield before any CST is consumed.
@@ -375,11 +334,10 @@ class TimestampGreedyPolicy : public CmPolicyBase
         if (self.irrevocable())
             return;
         const std::uint64_t mine = pm.arbitrationStamp(self.core());
-        for (std::uint64_t m = view.activeEnemies; m != 0;
-             m &= m - 1) {
+        for (std::uint64_t m = active_enemies; m != 0; m &= m - 1) {
             const CoreId k = static_cast<CoreId>(
                 std::countr_zero(m));
-            if (view.enemyStamp(k) < mine)
+            if (pm.arbitrationStamp(k) < mine)
                 selfAbort(self);
         }
     }
@@ -401,50 +359,37 @@ class RandomizedBackoffPolicy : public CmPolicyBase
     }
 
     void
-    resolve(TxThread &self, std::uint64_t,
-            const PolkaHooks &hooks) override
+    resolve(TxThread &self, std::uint64_t, CmEnemy &enemy) override
     {
-        checkHooks(hooks);
         const unsigned max_patience =
             self.machine().config().progress.cmMaxPatience;
-        for (unsigned interval = 0;;) {
-            if (!hooks.enemyActive())
-                return;
-            noteConflict(self, hooks);
-            if (hooks.alertCheck)
-                hooks.alertCheck();
-            if (hooks.enemyIrrevocable()) {
-                stallRound(self, interval);
-                ++interval;
-                continue;
-            }
+        for (unsigned interval = 0;
+             enemyContestable(self, enemy, interval); ++interval) {
             if (self.irrevocable()) {
                 // The token holder may neither die nor stall
                 // unboundedly behind a peer that is itself stalled
                 // on our irrevocability.
-                killEnemy(self, hooks);
+                killEnemy(self, enemy);
                 return;
             }
             if (interval >= max_patience)
                 selfAbort(self);
             backoffRound(self, interval);
-            ++interval;
         }
     }
 
     void
     lazyCommitGate(TxThread &self,
-                   const LazyCommitView &view) override
+                   std::uint64_t active_enemies) override
     {
         if (self.irrevocable())
             return;
-        if (view.activeEnemies != 0)
+        if (active_enemies != 0)
             selfAbort(self);
     }
 
     void
-    lockWaitRound(TxThread &self, const PolkaHooks &,
-                  unsigned round) override
+    lockWaitRound(TxThread &self, unsigned round) override
     {
         if (round > 4 && !self.irrevocable())
             selfAbort(self);
@@ -471,18 +416,16 @@ class SerialIrrevocableFirstPolicy : public CmPolicyBase
 
     void
     resolve(TxThread &self, std::uint64_t my_karma,
-            const PolkaHooks &hooks) override
+            CmEnemy &enemy) override
     {
-        checkHooks(hooks);
         ProgressManager &pm = self.machine().progress();
         if (!self.irrevocable() &&
-            pm.consecutiveAborts(self.tid()) >= 1 &&
-            hooks.enemyActive()) {
-            noteConflict(self, hooks);
+            pm.consecutiveAborts(self.tid()) >= 1 && enemy.active()) {
+            noteConflict(self, enemy);
             pm.forceEscalate(self.tid());
             selfAbort(self);
         }
-        karmaResolve(self, my_karma, hooks, false);
+        karmaResolve(self, my_karma, enemy, false);
     }
 
     [[noreturn]] void
@@ -495,8 +438,7 @@ class SerialIrrevocableFirstPolicy : public CmPolicyBase
     }
 
     void
-    lockWaitRound(TxThread &self, const PolkaHooks &,
-                  unsigned round) override
+    lockWaitRound(TxThread &self, unsigned round) override
     {
         if (round > 4 && !self.irrevocable()) {
             self.machine().progress().forceEscalate(self.tid());
@@ -544,13 +486,6 @@ cmPolicyFor(CmPolicy kind)
         return serial;
     }
     panic("unknown CmPolicy %u", static_cast<unsigned>(kind));
-}
-
-void
-PolkaManager::resolve(TxThread &self, std::uint64_t my_karma,
-                      const PolkaHooks &hooks, CmPolicy policy)
-{
-    cmPolicyFor(policy).resolve(self, my_karma, hooks);
 }
 
 } // namespace flextm

@@ -9,12 +9,12 @@
  * management-policy interplay as future work; this file is that
  * study's substrate.  Every runtime routes its arbitration decisions
  * through the machine-wide CmPolicyBase object (selected by
- * MachineConfig::cmPolicy / FLEXTM_CM_POLICY) via the PolkaHooks
+ * MachineConfig::cmPolicy / FLEXTM_CM_POLICY) via the CmEnemy
  * contract, so policies compose with all seven runtimes:
  *
- *  - resolve()        hook-based arbitration against one enemy
- *                     (FlexTM eager responses, RSTM/RTM-F locked
- *                     headers, scripted conflicts in tests);
+ *  - resolve()        arbitration against one CmEnemy (FlexTM eager
+ *                     responses, RSTM/RTM-F locked headers, scripted
+ *                     conflicts in tests);
  *  - lazyCommitGate() the FlexTM-lazy commit window, before the
  *                     committer copies-and-clears its CSTs and kills
  *                     the marked enemies;
@@ -34,7 +34,6 @@
 #define FLEXTM_RUNTIME_CONFLICT_MANAGER_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/config.hh"
 #include "sim/types.hh"
@@ -45,54 +44,40 @@ namespace flextm
 class TxThread;
 struct Counter;
 
-/** Hooks a runtime supplies so a policy can act on an enemy. */
-struct PolkaHooks
+/**
+ * The enemy transaction of one conflict, as a policy sees it.  Each
+ * runtime implements it once for its kind of enemy handle (FlexTM's
+ * per-core status word, the object STMs' locked header) and passes
+ * an instance to CmPolicyBase::resolve.  The attacker's own abort
+ * poll between back-off rounds is TxThread::pollAbort.
+ */
+class CmEnemy
 {
+  public:
     /** Is the enemy transaction still in the way?  (Charges the cost
      *  of inspecting its status.) */
-    std::function<bool()> enemyActive;
+    virtual bool active() = 0;
     /** Forcibly abort the enemy (CAS on its status word). */
-    std::function<void()> abortEnemy;
+    virtual void abort() = 0;
     /** Enemy's current priority. */
-    std::function<std::uint64_t()> enemyKarma;
-    /**
-     * Called between back-off intervals so the attacker notices its
-     * own abort while stalling (throws TxAbort in that case) -
-     * without this, two stalled transactions could ignore each
-     * other's kill shots.
-     */
-    std::function<void()> alertCheck;
+    virtual std::uint64_t karma() = 0;
     /**
      * Is the enemy running under the serial-irrevocable fallback?
      * An irrevocable enemy is never aborted, whatever the policy:
-     * the attacker stalls (re-checking its own status) until the
-     * enemy drains.  Mandatory: an absent hook used to silently mean
-     * "never irrevocable", which let a policy kill the token holder.
+     * the attacker stalls (polling its own abort) until the enemy
+     * drains.
      */
-    std::function<bool()> enemyIrrevocable;
+    virtual bool irrevocable() = 0;
     /**
-     * Core the enemy transaction runs on.  Must be a host-side peek
-     * (no simulated cycles): timestamp arbitration and the I9
-     * progressiveness audit consult it between protocol actions.
-     * Optional; absent degrades TimestampGreedy to karma order and
-     * skips the per-conflict audit note.
+     * Core the enemy transaction runs on (invalidCore once it is
+     * gone).  A host-side peek (no simulated cycles): timestamp
+     * arbitration and the I9 progressiveness audit consult it
+     * between protocol actions.
      */
-    std::function<CoreId()> enemyCore;
-};
+    virtual CoreId core() const = 0;
 
-/**
- * The FlexTM-lazy commit window, presented to lazyCommitGate():
- * which CST-marked enemies are still active, and their arbitration
- * stamps.  Built from host-side peeks only.
- */
-struct LazyCommitView
-{
-    /** Bitmask of CST (W-R | W-W) enemies whose TSW is still
-     *  Active. */
-    std::uint64_t activeEnemies = 0;
-    /** Arbitration stamp of the transaction on a core (see
-     *  ProgressManager::arbitrationStamp). */
-    std::function<std::uint64_t(CoreId)> enemyStamp;
+  protected:
+    ~CmEnemy() = default;
 };
 
 const char *cmPolicyName(CmPolicy p);
@@ -122,13 +107,13 @@ class CmPolicyBase
      * Resolve one conflict.  Returns when the enemy has committed,
      * aborted, or been aborted by us; throws TxAbort if this
      * transaction should die instead (requester-abort policies, or
-     * the alertCheck hook noticing we were killed while waiting).
+     * TxThread::pollAbort noticing we were killed while waiting).
      *
      * @param self     the attacking thread (for back-off timing)
      * @param my_karma attacker's priority
      */
     virtual void resolve(TxThread &self, std::uint64_t my_karma,
-                         const PolkaHooks &hooks) = 0;
+                         CmEnemy &enemy) = 0;
 
     /**
      * FlexTM-lazy commit window: called before the committer
@@ -137,17 +122,19 @@ class CmPolicyBase
      * default is committer-wins (a no-op): at CAS-Commit the
      * committer sits at its linearization point.  Requester-abort
      * and timestamp policies yield here instead.
+     *
+     * @param active_enemies bitmask of the CST (W-R | W-W) enemies
+     *        whose status word is still Active (host-side peeks)
      */
     virtual void lazyCommitGate(TxThread &self,
-                                const LazyCommitView &view);
+                                std::uint64_t active_enemies);
 
     /**
      * One round of waiting on a TL2 commit-lock owner (the caller
      * re-probes the lock between rounds).  @p round starts at 1.
      * May throw TxAbort (the caller releases held locks first).
      */
-    virtual void lockWaitRound(TxThread &self, const PolkaHooks &hooks,
-                               unsigned round);
+    virtual void lockWaitRound(TxThread &self, unsigned round);
 
     /**
      * One round of CGL's global-lock spin.  CGL critical sections
@@ -189,15 +176,12 @@ class CmPolicyBase
     static Counter &backoffs(TxThread &t);
     static Counter &irrevocableStalls(TxThread &t);
 
-    /** Require every mandatory hook (enemyIrrevocable included). */
-    static void checkHooks(const PolkaHooks &hooks);
-
     /** Note the observed conflict with the auditor (I9): host-side,
-     *  zero simulated cycles; no-op without auditor or enemyCore. */
-    static void noteConflict(TxThread &self, const PolkaHooks &hooks);
+     *  zero simulated cycles; no-op without auditor. */
+    static void noteConflict(TxThread &self, const CmEnemy &enemy);
 
-    /** Abort the enemy: I9 note, abortEnemy(), counter. */
-    static void killEnemy(TxThread &self, const PolkaHooks &hooks);
+    /** Abort the enemy: I9 note, CmEnemy::abort(), counter. */
+    static void killEnemy(TxThread &self, CmEnemy &enemy);
 
     /** One randomized stall interval behind an irrevocable enemy
      *  (shift capped at 8), bumping cm.irrevocable_stalls. */
@@ -210,11 +194,20 @@ class CmPolicyBase
     /** Requester-side abort: counter + throw TxAbort{CmSelf}. */
     [[noreturn]] static void selfAbort(TxThread &self);
 
+    /**
+     * The prologue of every arbitration round: false once the enemy
+     * has gone.  Otherwise notes the conflict (I9), polls our own
+     * abort, and while the enemy is irrevocable stalls a round
+     * (bumping @p interval) and starts over; true means the enemy
+     * is active and revocable - the policy's turn to arbitrate.
+     */
+    static bool enemyContestable(TxThread &self, CmEnemy &enemy,
+                                 unsigned &interval);
+
     /** The classic karma loop shared by Polka, Aggressive and
-     *  SerialIrrevocableFirst's first-conflict path; bit-identical
-     *  to the historical PolkaManager::resolve. */
+     *  SerialIrrevocableFirst's first-conflict path. */
     static void karmaResolve(TxThread &self, std::uint64_t my_karma,
-                             const PolkaHooks &hooks, bool aggressive);
+                             CmEnemy &enemy, bool aggressive);
     /// @}
 
   private:
@@ -223,19 +216,6 @@ class CmPolicyBase
 
 /** The process-wide singleton for @p kind. */
 CmPolicyBase &cmPolicyFor(CmPolicy kind);
-
-/**
- * Historical entry point, kept so scripted-conflict tests and
- * benches can arbitrate under an explicit policy without a Machine
- * reconfiguration; forwards to cmPolicyFor(policy).resolve().
- */
-class PolkaManager
-{
-  public:
-    static void resolve(TxThread &self, std::uint64_t my_karma,
-                        const PolkaHooks &hooks,
-                        CmPolicy policy = CmPolicy::Polka);
-};
 
 } // namespace flextm
 

@@ -9,6 +9,51 @@
 namespace flextm
 {
 
+class FlexTmThread::CoreEnemy final : public CmEnemy
+{
+  public:
+    CoreEnemy(FlexTmThread &self, CoreId k) : self_(self), k_(k) {}
+
+    bool
+    active() override
+    {
+        const Addr enemy_tsw = self_.g_.tswOf[k_];
+        if (enemy_tsw == 0)
+            return false;
+        return static_cast<std::uint32_t>(
+                   self_.plainRead(enemy_tsw, 4)) == TswActive;
+    }
+
+    void
+    abort() override
+    {
+        const Addr enemy_tsw = self_.g_.tswOf[k_];
+        if (enemy_tsw != 0)
+            self_.casWord(enemy_tsw, TswActive, TswAborted, 4);
+        if (self_.g_.abortSuspended)
+            self_.g_.abortSuspended(self_, k_);
+    }
+
+    std::uint64_t
+    karma() override
+    {
+        self_.work(2);  // reading the enemy descriptor
+        return self_.g_.karma[k_];
+    }
+
+    bool
+    irrevocable() override
+    {
+        return self_.m_.progress().isIrrevocableCore(k_);
+    }
+
+    CoreId core() const override { return k_; }
+
+  private:
+    FlexTmThread &self_;
+    const CoreId k_;
+};
+
 FlexTmThread::FlexTmThread(Machine &m, FlexTmGlobals &globals,
                            ThreadId tid, CoreId core, ConflictMode mode)
     : TxThread(m, tid, core), g_(globals), mode_(mode),
@@ -129,31 +174,8 @@ FlexTmThread::handleEagerConflicts(std::uint64_t enemies)
 {
     ConflictSummaryTable::forEach(enemies, [&](CoreId k) {
         ++g_.eagerConflicts;
-        PolkaHooks hooks;
-        hooks.enemyActive = [this, k] {
-            const Addr enemy_tsw = g_.tswOf[k];
-            if (enemy_tsw == 0)
-                return false;
-            return static_cast<std::uint32_t>(
-                       plainRead(enemy_tsw, 4)) == TswActive;
-        };
-        hooks.abortEnemy = [this, k] {
-            const Addr enemy_tsw = g_.tswOf[k];
-            if (enemy_tsw != 0)
-                casWord(enemy_tsw, TswActive, TswAborted, 4);
-            if (g_.abortSuspended)
-                g_.abortSuspended(*this, k);
-        };
-        hooks.enemyKarma = [this, k] {
-            work(2);  // reading the enemy descriptor
-            return g_.karma[k];
-        };
-        hooks.alertCheck = [this] { checkAlert(); };
-        hooks.enemyIrrevocable = [this, k] {
-            return m_.progress().isIrrevocableCore(k);
-        };
-        hooks.enemyCore = [k] { return k; };
-        m_.cmPolicy().resolve(*this, g_.karma[core_], hooks);
+        CoreEnemy enemy(*this, k);
+        m_.cmPolicy().resolve(*this, g_.karma[core_], enemy);
 
         // Do NOT retire k's bits from our CSTs here.  resolve()'s
         // last enemy-status read yields before returning, so core k
@@ -236,23 +258,18 @@ FlexTmThread::commitTx()
         // them.  Built from host-side peeks only (zero simulated
         // cycles), and a no-op under the default committer-wins
         // policies, so the Polka path is untouched.
-        {
-            LazyCommitView view;
-            ConflictSummaryTable::forEach(
-                c.cst.wr.raw() | c.cst.ww.raw(), [&](CoreId k) {
-                    const Addr enemy_tsw = g_.tswOf[k];
-                    if (k == core_ || enemy_tsw == 0)
-                        return;
-                    std::uint32_t tsw = 0;
-                    m_.memsys().peek(enemy_tsw, &tsw, 4);
-                    if (tsw == TswActive)
-                        view.activeEnemies |= std::uint64_t{1} << k;
-                });
-            view.enemyStamp = [this](CoreId k) {
-                return m_.progress().arbitrationStamp(k);
-            };
-            m_.cmPolicy().lazyCommitGate(*this, view);
-        }
+        std::uint64_t active_enemies = 0;
+        ConflictSummaryTable::forEach(
+            c.cst.wr.raw() | c.cst.ww.raw(), [&](CoreId k) {
+                const Addr enemy_tsw = g_.tswOf[k];
+                if (k == core_ || enemy_tsw == 0)
+                    return;
+                std::uint32_t tsw = 0;
+                m_.memsys().peek(enemy_tsw, &tsw, 4);
+                if (tsw == TswActive)
+                    active_enemies |= std::uint64_t{1} << k;
+            });
+        m_.cmPolicy().lazyCommitGate(*this, active_enemies);
 
         // 1. copy-and-clear W-R and W-W registers
         const std::uint64_t wr_enemies = c.cst.wr.copyAndClear();

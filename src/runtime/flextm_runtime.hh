@@ -139,8 +139,13 @@ class FlexTmThread : public TxThread
     void txWrite(Addr a, std::uint64_t v, unsigned size) override;
     void injectSpuriousAlert() override;
     void injectRemoteAbort() override;
+    void pollAbort() override { checkAlert(); }
 
   private:
+    /** The transaction on one peer core, as the contention manager
+     *  sees it (eager-mode conflicts). */
+    class CoreEnemy;
+
     FlexTmGlobals &g_;
     ConflictMode mode_;
     Addr tswAddr_;

@@ -123,9 +123,10 @@ HyTmThread::beginTx()
         return;
     }
 
-    // Wait out active slow-path transactions before starting (the
-    // no-spin read leaves the gate line with its writers).
-    while (plainReadNoSpin(hg_.gateAddr, 8) != 0)
+    // Wait out active slow-path transactions before starting (a
+    // plain coherent read: the spinner caches the gate line until a
+    // gate update invalidates it).
+    while (plainRead(hg_.gateAddr, 8) != 0)
         work(64);
 
     installHooks();

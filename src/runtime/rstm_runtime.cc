@@ -2,49 +2,15 @@
 
 #include <algorithm>
 
-#include "runtime/conflict_manager.hh"
 #include "sim/logging.hh"
 
 namespace flextm
 {
 
-namespace
-{
-
-bool
-isLocked(std::uint64_t word)
-{
-    return (word & 1) != 0;
-}
-
-CoreId
-lockOwner(std::uint64_t word)
-{
-    return static_cast<CoreId>(word >> 1);
-}
-
-} // anonymous namespace
-
-RstmGlobals::RstmGlobals(Machine &machine)
-    : m(machine), tswOf(machine.cores(), 0), karma(machine.cores(), 0)
-{
-    headerCount = 1u << 16;
-    headerBase =
-        m.memory().allocate(std::size_t{headerCount} * 8, lineBytes);
-}
-
-Addr
-RstmGlobals::headerFor(Addr a) const
-{
-    const std::uint64_t line = lineNumber(a) * 2654435761ULL;
-    return headerBase + (line & (headerCount - 1)) * 8;
-}
-
-RstmThread::RstmThread(Machine &m, RstmGlobals &g, ThreadId tid,
+RstmThread::RstmThread(Machine &m, ObjectStmGlobals &g, ThreadId tid,
                        CoreId core)
-    : TxThread(m, tid, core), g_(g)
+    : ObjectStmThread(m, g, tid, core)
 {
-    tswAddr_ = m_.memory().allocate(lineBytes, lineBytes);
     // Reserve the clone arena up front, before the workload has made
     // any allocation: clone buffers are written without transactional
     // bookkeeping, so they must never share addresses with (possibly
@@ -56,12 +22,6 @@ RstmThread::RstmThread(Machine &m, RstmGlobals &g, ThreadId tid,
 }
 
 RstmThread::~RstmThread() = default;
-
-std::uint64_t
-RstmThread::headerWordLocked() const
-{
-    return (std::uint64_t{core_} << 1) | 1;
-}
 
 Addr
 RstmThread::acquireClone()
@@ -95,43 +55,6 @@ RstmThread::checkStatus()
         static_cast<std::uint32_t>(plainRead(tswAddr_, 4));
     if (tsw == TswAborted)
         throw TxAbort{AbortCause::EnemyKill};
-}
-
-void
-RstmThread::resolveOwner(Addr header)
-{
-    PolkaHooks hooks;
-    hooks.enemyActive = [this, header] {
-        return isLocked(plainRead(header, 8));
-    };
-    hooks.abortEnemy = [this, header] {
-        const std::uint64_t w = plainRead(header, 8);
-        if (!isLocked(w))
-            return;
-        const CoreId owner = lockOwner(w);
-        const Addr enemy_tsw = g_.tswOf[owner];
-        if (enemy_tsw != 0)
-            casWord(enemy_tsw, TswActive, TswAborted, 4);
-        // The victim's cleanup releases the header; wait for it.
-    };
-    hooks.enemyKarma = [this, header] {
-        const std::uint64_t w = plainRead(header, 8);
-        return isLocked(w) ? g_.karma[lockOwner(w)] : 0;
-    };
-    hooks.alertCheck = [this] { checkStatus(); };
-    hooks.enemyIrrevocable = [this, header] {
-        const std::uint64_t w = plainRead(header, 8);
-        return isLocked(w) &&
-               m_.progress().isIrrevocableCore(lockOwner(w));
-    };
-    hooks.enemyCore = [this, header] {
-        // Host-side peek: identification for the auditor/arbitration
-        // must not perturb the timed memory traffic.
-        std::uint64_t w = 0;
-        m_.memsys().peek(header, &w, 8);
-        return isLocked(w) ? lockOwner(w) : invalidCore;
-    };
-    m_.cmPolicy().resolve(*this, g_.karma[core_], hooks);
 }
 
 void
@@ -220,7 +143,7 @@ RstmThread::txWrite(Addr a, std::uint64_t v, unsigned size)
                 resolveOwner(header);
                 continue;
             }
-            if (casWord(header, old, headerWordLocked(), 8).success)
+            if (casWord(header, old, lockedWord(), 8).success)
                 break;
         }
 

@@ -24,36 +24,21 @@
 
 #include <vector>
 
-#include "runtime/tx_thread.hh"
+#include "runtime/object_stm.hh"
 #include "sim/flat_map.hh"
 
 namespace flextm
 {
 
-/** Machine-wide RSTM metadata. */
-struct RstmGlobals
-{
-    explicit RstmGlobals(Machine &m);
-
-    Machine &m;
-    Addr headerBase;      //!< per-object (line) header words
-    unsigned headerCount;
-    std::vector<Addr> tswOf;             //!< per core
-    std::vector<std::uint64_t> karma;    //!< per core
-
-    Addr headerFor(Addr a) const;
-};
-
 /** One RSTM thread. */
-class RstmThread : public TxThread
+class RstmThread : public ObjectStmThread
 {
   public:
-    RstmThread(Machine &m, RstmGlobals &g, ThreadId tid, CoreId core);
+    RstmThread(Machine &m, ObjectStmGlobals &g, ThreadId tid,
+               CoreId core);
     ~RstmThread() override;
 
     std::string name() const override { return "RSTM"; }
-
-    bool objectBased() const override { return true; }
 
   protected:
     void beginTx() override;
@@ -61,6 +46,7 @@ class RstmThread : public TxThread
     void abortCleanup() override;
     std::uint64_t txRead(Addr a, unsigned size) override;
     void txWrite(Addr a, std::uint64_t v, unsigned size) override;
+    void pollAbort() override { checkStatus(); }
 
   private:
     struct WriteEntry
@@ -69,9 +55,6 @@ class RstmThread : public TxThread
         Addr header;
         std::uint64_t oldHeader;
     };
-
-    RstmGlobals &g_;
-    Addr tswAddr_;
 
     /** (header addr -> version observed) for opened-for-read lines */
     FlatMap<Addr, std::uint64_t> readSet_;
@@ -88,13 +71,9 @@ class RstmThread : public TxThread
     Addr acquireClone();
 
     void checkStatus();
-    /** Wait out / abort the owner of a locked header (Polka). */
-    void resolveOwner(Addr header);
     /** Re-validate every opened-for-read header (self-validation). */
     void validateReadSet();
     void releaseWrites(bool committed);
-
-    std::uint64_t headerWordLocked() const;
 };
 
 } // namespace flextm

@@ -1,49 +1,15 @@
 #include "runtime/rtmf_runtime.hh"
 
-#include "runtime/conflict_manager.hh"
 #include "sim/logging.hh"
 
 namespace flextm
 {
 
-namespace
-{
-
-bool
-isLocked(std::uint64_t word)
-{
-    return (word & 1) != 0;
-}
-
-CoreId
-lockOwner(std::uint64_t word)
-{
-    return static_cast<CoreId>(word >> 1);
-}
-
-} // anonymous namespace
-
-RtmfGlobals::RtmfGlobals(Machine &machine)
-    : m(machine), tswOf(machine.cores(), 0), karma(machine.cores(), 0)
-{
-    headerCount = 1u << 16;
-    headerBase =
-        m.memory().allocate(std::size_t{headerCount} * 8, lineBytes);
-}
-
-Addr
-RtmfGlobals::headerFor(Addr a) const
-{
-    const std::uint64_t line = lineNumber(a) * 2654435761ULL;
-    return headerBase + (line & (headerCount - 1)) * 8;
-}
-
-RtmfThread::RtmfThread(Machine &m, RtmfGlobals &g, ThreadId tid,
+RtmfThread::RtmfThread(Machine &m, ObjectStmGlobals &g, ThreadId tid,
                        CoreId core)
-    : TxThread(m, tid, core), g_(g),
+    : ObjectStmThread(m, g, tid, core),
       ot_(m.config().signatureBits, m.config().signatureHashes)
 {
-    tswAddr_ = m_.memory().allocate(lineBytes, lineBytes);
 }
 
 RtmfThread::~RtmfThread()
@@ -165,41 +131,6 @@ RtmfThread::revalidateReadHeaders()
 }
 
 void
-RtmfThread::resolveOwner(Addr header)
-{
-    PolkaHooks hooks;
-    hooks.enemyActive = [this, header] {
-        return isLocked(plainRead(header, 8));
-    };
-    hooks.abortEnemy = [this, header] {
-        const std::uint64_t w = plainRead(header, 8);
-        if (!isLocked(w))
-            return;
-        const Addr enemy_tsw = g_.tswOf[lockOwner(w)];
-        if (enemy_tsw != 0)
-            casWord(enemy_tsw, TswActive, TswAborted, 4);
-    };
-    hooks.enemyKarma = [this, header] {
-        const std::uint64_t w = plainRead(header, 8);
-        return isLocked(w) ? g_.karma[lockOwner(w)] : 0;
-    };
-    hooks.alertCheck = [this] { checkAlert(); };
-    hooks.enemyIrrevocable = [this, header] {
-        const std::uint64_t w = plainRead(header, 8);
-        return isLocked(w) &&
-               m_.progress().isIrrevocableCore(lockOwner(w));
-    };
-    hooks.enemyCore = [this, header] {
-        // Host-side peek: identification for the auditor/arbitration
-        // must not perturb the timed memory traffic.
-        std::uint64_t w = 0;
-        m_.memsys().peek(header, &w, 8);
-        return isLocked(w) ? lockOwner(w) : invalidCore;
-    };
-    m_.cmPolicy().resolve(*this, g_.karma[core_], hooks);
-}
-
-void
 RtmfThread::openForRead(Addr a)
 {
     const Addr header = g_.headerFor(a);
@@ -258,11 +189,8 @@ RtmfThread::openForWrite(Addr a)
             resolveOwner(header);
             continue;
         }
-        if (casWord(header, old,
-                    (std::uint64_t{core_} << 1) | 1, 8)
-                .success) {
+        if (casWord(header, old, lockedWord(), 8).success)
             break;
-        }
     }
     acquired_.emplace(header, old);
     ++g_.karma[core_];
@@ -336,18 +264,7 @@ RtmfThread::commitTx()
         throw TxAbort{AbortCause::EnemyKill};
 
     releaseAll(true);
-    HwContext &c = ctx();
-    c.rsig.clear();
-    c.wsig.clear();
-    c.cst.clearAll();
-    m_.memsys().arelease(core_, tswAddr_);
-    c.aou.acknowledge();
-    c.ot = nullptr;
-    c.inTx = false;
-    g_.tswOf[core_] = 0;
-    g_.karma[core_] = 0;
-    if (StateAuditor *a = m_.memsys().auditor())
-        a->noteTxEnd(core_);
+    resetHwTxState();
     return true;
 }
 
@@ -378,6 +295,12 @@ RtmfThread::abortCleanup()
         a->noteSettling(core_, true);
     charge(m_.memsys().abortTx(core_, m_.scheduler().now()));
     releaseAll(false);
+    resetHwTxState();
+}
+
+void
+RtmfThread::resetHwTxState()
+{
     HwContext &c = ctx();
     c.rsig.clear();
     c.wsig.clear();

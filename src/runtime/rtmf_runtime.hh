@@ -19,39 +19,22 @@
 #ifndef FLEXTM_RUNTIME_RTMF_RUNTIME_HH
 #define FLEXTM_RUNTIME_RTMF_RUNTIME_HH
 
-#include <vector>
-
 #include "core/overflow_table.hh"
-#include "runtime/tx_thread.hh"
+#include "runtime/object_stm.hh"
 #include "sim/flat_map.hh"
 
 namespace flextm
 {
 
-/** Machine-wide RTM-F metadata. */
-struct RtmfGlobals
-{
-    explicit RtmfGlobals(Machine &m);
-
-    Machine &m;
-    Addr headerBase;
-    unsigned headerCount;
-    std::vector<Addr> tswOf;
-    std::vector<std::uint64_t> karma;
-
-    Addr headerFor(Addr a) const;
-};
-
 /** One RTM-F thread. */
-class RtmfThread : public TxThread
+class RtmfThread : public ObjectStmThread
 {
   public:
-    RtmfThread(Machine &m, RtmfGlobals &g, ThreadId tid, CoreId core);
+    RtmfThread(Machine &m, ObjectStmGlobals &g, ThreadId tid,
+               CoreId core);
     ~RtmfThread() override;
 
     std::string name() const override { return "RTM-F"; }
-
-    bool objectBased() const override { return true; }
 
   protected:
     void beginTx() override;
@@ -61,10 +44,9 @@ class RtmfThread : public TxThread
     void txWrite(Addr a, std::uint64_t v, unsigned size) override;
     void injectSpuriousAlert() override;
     void injectRemoteAbort() override;
+    void pollAbort() override { checkAlert(); }
 
   private:
-    RtmfGlobals &g_;
-    Addr tswAddr_;
     OverflowTable ot_;
     bool strongAborted_ = false;
 
@@ -78,13 +60,15 @@ class RtmfThread : public TxThread
     HwContext &ctx() { return m_.context(core_); }
 
     void checkAlert();
-    void resolveOwner(Addr header);
     /** After a header alert: confirm every watched header still has
      *  the word we observed (a committed writer bumps it). */
     void revalidateReadHeaders();
     void openForRead(Addr a);
     void openForWrite(Addr a);
     void releaseAll(bool committed);
+    /** End-of-transaction hardware and registry reset shared by
+     *  commit and abort (after releaseAll). */
+    void resetHwTxState();
 };
 
 } // namespace flextm

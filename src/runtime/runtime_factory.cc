@@ -35,10 +35,8 @@ RuntimeFactory::RuntimeFactory(Machine &m, RuntimeKind kind)
         tl2_ = std::make_unique<Tl2Globals>(m_);
         break;
       case RuntimeKind::Rstm:
-        rstm_ = std::make_unique<RstmGlobals>(m_);
-        break;
       case RuntimeKind::RtmF:
-        rtmf_ = std::make_unique<RtmfGlobals>(m_);
+        objectStm_ = std::make_unique<ObjectStmGlobals>(m_);
         break;
       case RuntimeKind::HyTm:
         hytm_ = std::make_unique<HyTmGlobals>(m_);
@@ -61,9 +59,11 @@ RuntimeFactory::makeThread(ThreadId tid, CoreId core)
       case RuntimeKind::Tl2:
         return std::make_unique<Tl2Thread>(m_, *tl2_, tid, core);
       case RuntimeKind::Rstm:
-        return std::make_unique<RstmThread>(m_, *rstm_, tid, core);
+        return std::make_unique<RstmThread>(m_, *objectStm_, tid,
+                                            core);
       case RuntimeKind::RtmF:
-        return std::make_unique<RtmfThread>(m_, *rtmf_, tid, core);
+        return std::make_unique<RtmfThread>(m_, *objectStm_, tid,
+                                            core);
       case RuntimeKind::HyTm:
         return std::make_unique<HyTmThread>(m_, *hytm_, tid, core);
     }

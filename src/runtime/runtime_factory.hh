@@ -52,8 +52,7 @@ class RuntimeFactory
     std::unique_ptr<FlexTmGlobals> flex_;
     std::unique_ptr<CglGlobals> cgl_;
     std::unique_ptr<Tl2Globals> tl2_;
-    std::unique_ptr<RstmGlobals> rstm_;
-    std::unique_ptr<RtmfGlobals> rtmf_;
+    std::unique_ptr<ObjectStmGlobals> objectStm_;  //!< RSTM / RTM-F
     std::unique_ptr<HyTmGlobals> hytm_;
 };
 

@@ -3,7 +3,6 @@
 #include "mem/memory_system.hh"
 #include "runtime/conflict_manager.hh"
 #include "sim/logging.hh"
-#include "sim/progress.hh"
 
 namespace flextm
 {
@@ -80,36 +79,12 @@ Tl2Thread::bumpClock()
 }
 
 void
-Tl2Thread::lockWaitRound(Addr lock, unsigned tries)
+Tl2Thread::lockWaitRound(Addr, unsigned tries)
 {
-    PolkaHooks hooks;
-    hooks.enemyActive = [this, lock] {
-        const std::uint64_t w = plainRead(lock, 8);
-        return tl2IsLocked(w) && !ownsLock(w);
-    };
-    // TL2 owners drain on their own; stripe locks have no abort
-    // handle, so "kill" is a no-op and policies fall back to waiting
-    // or requester-abort.
-    hooks.abortEnemy = [] {};
-    hooks.enemyKarma = [] { return std::uint64_t{0}; };
-    hooks.enemyIrrevocable = [this, lock] {
-        std::uint64_t w = 0;
-        m_.memsys().peek(lock, &w, 8);
-        return tl2IsLocked(w) &&
-               m_.progress().isIrrevocableCore(
-                   static_cast<CoreId>(tl2LockOwner(w)));
-    };
-    hooks.enemyCore = [this, lock] {
-        std::uint64_t w = 0;
-        m_.memsys().peek(lock, &w, 8);
-        return tl2IsLocked(w) ? static_cast<CoreId>(tl2LockOwner(w))
-                              : invalidCore;
-    };
-    // One policy-shaped wait round.  Under the serial-irrevocable
-    // fallback we must not give up: competitors stall at begin, so
-    // the lock holder is a draining in-flight transaction - wait it
-    // out.
-    m_.cmPolicy().lockWaitRound(*this, hooks, tries);
+    // TL2 owners drain on their own (stripe locks have no abort
+    // handle), so the policy only shapes the wait or gives up the
+    // attempt.
+    m_.cmPolicy().lockWaitRound(*this, tries);
 }
 
 void

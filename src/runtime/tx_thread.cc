@@ -65,12 +65,6 @@ TxThread::plainRead(Addr a, unsigned size)
     return v;
 }
 
-std::uint64_t
-TxThread::plainReadNoSpin(Addr a, unsigned size)
-{
-    return plainRead(a, size);
-}
-
 void
 TxThread::plainWrite(Addr a, std::uint64_t v, unsigned size)
 {

@@ -3,8 +3,8 @@
  * The per-thread transactional programming interface.
  *
  * Workloads are written once against TxThread and run unchanged on
- * any of the five runtimes (FlexTM eager/lazy, CGL, RSTM, TL2,
- * RTM-F).  Inside txn(), read()/write() carry transactional
+ * any of the seven runtimes (FlexTM eager/lazy, CGL, RSTM, TL2,
+ * RTM-F, HyTM).  Inside txn(), read()/write() carry transactional
  * semantics (following the paper's subsumption convention: ordinary
  * accesses inside a transaction are interpreted transactionally);
  * outside, they are plain coherent accesses.
@@ -213,6 +213,15 @@ class TxThread
     /** Back-off between retries; default randomized exponential. */
     virtual void backoffBeforeRetry();
 
+    /**
+     * The attacker's own abort poll, run by the contention manager
+     * between back-off rounds: throws TxAbort if an enemy killed this
+     * transaction while it waited (without it, two stalled
+     * transactions could ignore each other's kill shots).  The
+     * default no-op serves runtimes that never call resolve().
+     */
+    virtual void pollAbort() {}
+
     /** @name Fault-injection reactions (runtime-specific)
      *
      * Called mid-transaction from read()/write() when the machine's
@@ -244,9 +253,6 @@ class TxThread
     /// @{
     std::uint64_t plainRead(Addr a, unsigned size);
     void plainWrite(Addr a, std::uint64_t v, unsigned size);
-    /** Plain read that does not retain the line (used for spinning
-     *  on remote words without perturbing the owner). */
-    std::uint64_t plainReadNoSpin(Addr a, unsigned size);
     CasOutcome casWord(Addr a, std::uint64_t expected,
                        std::uint64_t desired, unsigned size);
     /// @}

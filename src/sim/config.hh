@@ -26,7 +26,7 @@ namespace flextm
 struct ProgressConfig
 {
     /** Upper bound on Polka back-off intervals before the attacker
-     *  aborts the enemy (was PolkaManager::maxPatience). */
+     *  aborts the enemy. */
     unsigned cmMaxPatience = 6;
 
     /** Cap on the exponential retry back-off shift between

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the pluggable contention-management suite driven
- * through synthetic hooks: the Aggressive and Timid extreme points,
+ * through a scripted CmEnemy: the Aggressive and Timid extreme points,
  * Polka's deficit-proportional patience, the configurable patience
  * cap, the serial-irrevocable override that outranks every policy,
  * and the PR 7 additions - TimestampGreedy's oldest-wins
@@ -21,13 +21,16 @@ namespace flextm
 namespace
 {
 
-/** Minimal concrete TxThread: resolve() only needs machine(), rng()
- *  and work(), never the transaction machinery. */
+/** Minimal concrete TxThread: resolve() only needs machine(), rng(),
+ *  work() and the abort poll, never the transaction machinery. */
 class StubThread : public TxThread
 {
   public:
     using TxThread::TxThread;
     std::string name() const override { return "Stub"; }
+
+    /** Scripted abort poll (unset: never killed while waiting). */
+    std::function<void()> onPoll;
 
   protected:
     void beginTx() override {}
@@ -35,6 +38,13 @@ class StubThread : public TxThread
     void abortCleanup() override {}
     std::uint64_t txRead(Addr, unsigned) override { return 0; }
     void txWrite(Addr, std::uint64_t, unsigned) override {}
+
+    void
+    pollAbort() override
+    {
+        if (onPoll)
+            onPoll();
+    }
 };
 
 MachineConfig
@@ -46,19 +56,33 @@ smallCfg()
     return c;
 }
 
-/** Hooks with every mandatory member wired to a benign default
- *  (enemyIrrevocable is mandatory since PR 7); tests override the
- *  members they exercise. */
-PolkaHooks
-baseHooks()
+/** A scripted enemy.  By default it stays active until killed, is
+ *  revocable, has karma 0 and no core; tests override the parts of
+ *  the script they exercise.  kills counts abort() calls. */
+struct ScriptedEnemy final : CmEnemy
 {
-    PolkaHooks h;
-    h.enemyActive = [] { return false; };
-    h.abortEnemy = [] {};
-    h.enemyKarma = [] { return std::uint64_t{0}; };
-    h.enemyIrrevocable = [] { return false; };
-    return h;
-}
+    /** Overrides "active until killed" when set. */
+    std::function<bool()> isActive;
+    std::function<bool()> isIrrevocable = [] { return false; };
+    std::uint64_t karmaValue = 0;
+    CoreId coreId = invalidCore;
+
+    unsigned kills = 0;
+    bool alive = true;
+
+    bool active() override { return isActive ? isActive() : alive; }
+
+    void
+    abort() override
+    {
+        ++kills;
+        alive = false;
+    }
+
+    std::uint64_t karma() override { return karmaValue; }
+    bool irrevocable() override { return isIrrevocable(); }
+    CoreId core() const override { return coreId; }
+};
 
 /** One machine + stub thread; resolve() charges cycles (which
  *  yields), so every call runs on a scheduler fiber. */
@@ -73,11 +97,11 @@ struct Rig
     }
 
     void
-    resolveOn(std::uint64_t my_karma, const PolkaHooks &hooks,
-              CmPolicy policy, bool *threw = nullptr)
+    resolveOn(std::uint64_t my_karma, CmEnemy &enemy, CmPolicy policy,
+              bool *threw = nullptr)
     {
         onFiber([&] {
-            cmPolicyFor(policy).resolve(t, my_karma, hooks);
+            cmPolicyFor(policy).resolve(t, my_karma, enemy);
         }, threw);
     }
 
@@ -107,18 +131,11 @@ struct Rig
 TEST(AggressivePolicy, KillsTheEnemyImmediately)
 {
     Rig r;
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
-    h.enemyKarma = [&] { return std::uint64_t{999}; };
+    ScriptedEnemy e;
+    e.karmaValue = 999;
 
-    r.resolveOn(0, h, CmPolicy::Aggressive);
-    EXPECT_EQ(kills, 1u);
+    r.resolveOn(0, e, CmPolicy::Aggressive);
+    EXPECT_EQ(e.kills, 1u);
     EXPECT_EQ(r.count("cm.enemy_aborts"), 1u);
     EXPECT_EQ(r.count("cm.backoffs"), 0u);
 }
@@ -126,28 +143,24 @@ TEST(AggressivePolicy, KillsTheEnemyImmediately)
 TEST(AggressivePolicy, NoKillWhenEnemyAlreadyGone)
 {
     Rig r;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return false; };
-    h.abortEnemy = [&] { ++kills; };
+    ScriptedEnemy e;
+    e.alive = false;
 
-    r.resolveOn(0, h, CmPolicy::Aggressive);
-    EXPECT_EQ(kills, 0u);
+    r.resolveOn(0, e, CmPolicy::Aggressive);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_EQ(r.count("cm.enemy_aborts"), 0u);
 }
 
 TEST(TimidPolicy, SelfAbortsOnConflict)
 {
     Rig r;
-    unsigned kills = 0;
     bool threw = false;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return true; };
-    h.abortEnemy = [&] { ++kills; };
+    ScriptedEnemy e;
+    e.isActive = [] { return true; };
 
-    r.resolveOn(100, h, CmPolicy::Timid, &threw);
+    r.resolveOn(100, e, CmPolicy::Timid, &threw);
     EXPECT_TRUE(threw);
-    EXPECT_EQ(kills, 0u);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_EQ(r.count("cm.self_aborts"), 1u);
 }
 
@@ -155,47 +168,34 @@ TEST(TimidPolicy, NoConflictNoAbort)
 {
     Rig r;
     bool threw = false;
-    PolkaHooks h = baseHooks();
-    h.abortEnemy = [&] { FAIL() << "abortEnemy on a gone enemy"; };
+    ScriptedEnemy e;
+    e.alive = false;
 
-    r.resolveOn(0, h, CmPolicy::Timid, &threw);
+    r.resolveOn(0, e, CmPolicy::Timid, &threw);
     EXPECT_FALSE(threw);
+    EXPECT_EQ(e.kills, 0u) << "abort() on a gone enemy";
     EXPECT_EQ(r.count("cm.self_aborts"), 0u);
 }
 
 TEST(PolkaPolicy, NoKarmaDeficitMeansMinimalPatience)
 {
     Rig r;
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
+    ScriptedEnemy e;
 
     // Attacker outranks the enemy: patience clamps to one interval.
-    r.resolveOn(100, h, CmPolicy::Polka);
-    EXPECT_EQ(kills, 1u);
+    r.resolveOn(100, e, CmPolicy::Polka);
+    EXPECT_EQ(e.kills, 1u);
     EXPECT_EQ(r.count("cm.backoffs"), 1u);
 }
 
 TEST(PolkaPolicy, LargeDeficitWaitsFullPatience)
 {
     Rig r;
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
-    h.enemyKarma = [&] { return std::uint64_t{1'000'000}; };
+    ScriptedEnemy e;
+    e.karmaValue = 1'000'000;
 
-    r.resolveOn(0, h, CmPolicy::Polka);
-    EXPECT_EQ(kills, 1u);
+    r.resolveOn(0, e, CmPolicy::Polka);
+    EXPECT_EQ(e.kills, 1u);
     // The deficit is astronomical: patience caps at the configured
     // maximum (default ProgressConfig::cmMaxPatience).
     EXPECT_EQ(r.count("cm.backoffs"),
@@ -207,18 +207,11 @@ TEST(PolkaPolicy, ConfiguredMaxPatienceIsHonored)
     MachineConfig cfg = smallCfg();
     cfg.progress.cmMaxPatience = 2;
     Rig r(cfg);
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
-    h.enemyKarma = [&] { return std::uint64_t{1'000'000}; };
+    ScriptedEnemy e;
+    e.karmaValue = 1'000'000;
 
-    r.resolveOn(0, h, CmPolicy::Polka);
-    EXPECT_EQ(kills, 1u);
+    r.resolveOn(0, e, CmPolicy::Polka);
+    EXPECT_EQ(e.kills, 1u);
     EXPECT_EQ(r.count("cm.backoffs"), 2u);
 }
 
@@ -226,15 +219,13 @@ TEST(PolkaPolicy, ReturnsWithoutKillWhenEnemyDrains)
 {
     Rig r;
     unsigned active_checks = 0;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
+    ScriptedEnemy e;
     // The enemy commits on its own after two back-off intervals.
-    h.enemyActive = [&] { return ++active_checks <= 2; };
-    h.abortEnemy = [&] { ++kills; };
-    h.enemyKarma = [&] { return std::uint64_t{1'000'000}; };
+    e.isActive = [&] { return ++active_checks <= 2; };
+    e.karmaValue = 1'000'000;
 
-    r.resolveOn(0, h, CmPolicy::Polka);
-    EXPECT_EQ(kills, 0u);
+    r.resolveOn(0, e, CmPolicy::Polka);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_EQ(r.count("cm.enemy_aborts"), 0u);
     EXPECT_EQ(r.count("cm.backoffs"), 2u);
 }
@@ -243,18 +234,16 @@ TEST(IrrevocableOverride, EnemySurvivesAggressive)
 {
     Rig r;
     unsigned irr_checks = 0;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
+    ScriptedEnemy e;
     // Irrevocable enemy drains (commits) after three stall rounds.
-    h.enemyActive = [&] { return irr_checks < 3; };
-    h.abortEnemy = [&] { ++kills; };
-    h.enemyIrrevocable = [&] {
+    e.isActive = [&] { return irr_checks < 3; };
+    e.isIrrevocable = [&] {
         ++irr_checks;
         return true;
     };
 
-    r.resolveOn(1'000'000, h, CmPolicy::Aggressive);
-    EXPECT_EQ(kills, 0u);
+    r.resolveOn(1'000'000, e, CmPolicy::Aggressive);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_EQ(r.count("cm.enemy_aborts"), 0u);
     EXPECT_EQ(r.count("cm.irrevocable_stalls"), 3u);
 }
@@ -263,51 +252,38 @@ TEST(IrrevocableOverride, EnemySurvivesPolka)
 {
     Rig r;
     unsigned irr_checks = 0;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return irr_checks < 5; };
-    h.abortEnemy = [&] { ++kills; };
-    h.enemyIrrevocable = [&] {
+    ScriptedEnemy e;
+    e.isActive = [&] { return irr_checks < 5; };
+    e.isIrrevocable = [&] {
         ++irr_checks;
         return true;
     };
 
     // Even a maximal-karma attacker may not touch the token holder.
-    r.resolveOn(1'000'000, h, CmPolicy::Polka);
-    EXPECT_EQ(kills, 0u);
+    r.resolveOn(1'000'000, e, CmPolicy::Polka);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_EQ(r.count("cm.irrevocable_stalls"), 5u);
 }
 
 TEST(IrrevocableOverride, StalledAttackerNoticesOwnDeath)
 {
     Rig r;
-    unsigned alert_calls = 0;
-    unsigned kills = 0;
+    unsigned polls = 0;
     bool threw = false;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return true; };
-    h.abortEnemy = [&] { ++kills; };
-    h.enemyIrrevocable = [&] { return true; };
-    // The attacker is killed while stalling: the alert check fires
-    // on its second round and the stall must unwind via TxAbort.
-    h.alertCheck = [&] {
-        if (++alert_calls == 2)
+    ScriptedEnemy e;
+    e.isActive = [] { return true; };
+    e.isIrrevocable = [] { return true; };
+    // The attacker is killed while stalling: its abort poll fires on
+    // the second round and the stall must unwind via TxAbort.
+    r.t.onPoll = [&] {
+        if (++polls == 2)
             throw TxAbort{};
     };
 
-    r.resolveOn(0, h, CmPolicy::Polka, &threw);
+    r.resolveOn(0, e, CmPolicy::Polka, &threw);
     EXPECT_TRUE(threw);
-    EXPECT_EQ(kills, 0u);
-    EXPECT_EQ(alert_calls, 2u);
-}
-
-TEST(MandatoryHooks, MissingEnemyIrrevocableIsFatal)
-{
-    Rig r;
-    PolkaHooks h = baseHooks();
-    h.enemyIrrevocable = nullptr;
-    EXPECT_DEATH(r.resolveOn(0, h, CmPolicy::Polka),
-                 "enemyIrrevocable");
+    EXPECT_EQ(e.kills, 0u);
+    EXPECT_EQ(polls, 2u);
 }
 
 TEST(TimestampGreedy, OlderAttackerKillsYoungerEnemy)
@@ -317,18 +293,11 @@ TEST(TimestampGreedy, OlderAttackerKillsYoungerEnemy)
     // cycle 500: self is older and wins immediately.
     r.m.progress().txnBegan(0, 0, 10);
     r.m.progress().txnBegan(1, 1, 500);
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
-    h.enemyCore = [] { return CoreId{1}; };
+    ScriptedEnemy e;
+    e.coreId = 1;
 
-    r.resolveOn(0, h, CmPolicy::TimestampGreedy);
-    EXPECT_EQ(kills, 1u);
+    r.resolveOn(0, e, CmPolicy::TimestampGreedy);
+    EXPECT_EQ(e.kills, 1u);
     EXPECT_EQ(r.count("cm.enemy_aborts"), 1u);
     EXPECT_EQ(r.count("cm.self_aborts"), 0u);
 }
@@ -338,16 +307,14 @@ TEST(TimestampGreedy, YoungerAttackerSelfAborts)
     Rig r;
     r.m.progress().txnBegan(0, 0, 500);
     r.m.progress().txnBegan(1, 1, 10);
-    unsigned kills = 0;
     bool threw = false;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return true; };
-    h.abortEnemy = [&] { ++kills; };
-    h.enemyCore = [] { return CoreId{1}; };
+    ScriptedEnemy e;
+    e.isActive = [] { return true; };
+    e.coreId = 1;
 
-    r.resolveOn(1'000'000, h, CmPolicy::TimestampGreedy, &threw);
+    r.resolveOn(1'000'000, e, CmPolicy::TimestampGreedy, &threw);
     EXPECT_TRUE(threw);
-    EXPECT_EQ(kills, 0u);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_EQ(r.count("cm.self_aborts"), 1u);
 }
 
@@ -357,18 +324,11 @@ TEST(TimestampGreedy, CoreIdBreaksBeginCycleTies)
     // Same begin cycle: the lower core id is "older" and wins.
     r.m.progress().txnBegan(0, 0, 100);
     r.m.progress().txnBegan(1, 1, 100);
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
-    h.enemyCore = [] { return CoreId{1}; };
+    ScriptedEnemy e;
+    e.coreId = 1;
 
-    r.resolveOn(0, h, CmPolicy::TimestampGreedy);
-    EXPECT_EQ(kills, 1u);
+    r.resolveOn(0, e, CmPolicy::TimestampGreedy);
+    EXPECT_EQ(e.kills, 1u);
 }
 
 TEST(TimestampGreedy, StampSurvivesRetries)
@@ -381,50 +341,23 @@ TEST(TimestampGreedy, StampSurvivesRetries)
     r.m.progress().txnAborted(0);
     r.m.progress().txnBegan(0, 0, 900);  // retry, much later
     r.m.progress().txnBegan(1, 1, 500);
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
-    h.enemyCore = [] { return CoreId{1}; };
+    ScriptedEnemy e;
+    e.coreId = 1;
 
-    r.resolveOn(0, h, CmPolicy::TimestampGreedy);
-    EXPECT_EQ(kills, 1u);  // stamp 10 beats stamp 500 despite retry
-}
-
-TEST(TimestampGreedy, FallsBackToKarmaWithoutEnemyCore)
-{
-    Rig r;
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
-    // No enemyCore hook: scripted conflicts degrade to karma order.
-    r.resolveOn(100, h, CmPolicy::TimestampGreedy);
-    EXPECT_EQ(kills, 1u);
-    EXPECT_EQ(r.count("cm.backoffs"), 1u);
+    r.resolveOn(0, e, CmPolicy::TimestampGreedy);
+    EXPECT_EQ(e.kills, 1u);  // stamp 10 beats stamp 500 despite retry
 }
 
 TEST(RandomizedBackoff, NeverKillsAndYieldsAfterPatience)
 {
     Rig r;
-    unsigned kills = 0;
     bool threw = false;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return true; };
-    h.abortEnemy = [&] { ++kills; };
-    h.enemyKarma = [&] { return std::uint64_t{0}; };
+    ScriptedEnemy e;
+    e.isActive = [] { return true; };
 
-    r.resolveOn(1'000'000, h, CmPolicy::RandomizedBackoff, &threw);
+    r.resolveOn(1'000'000, e, CmPolicy::RandomizedBackoff, &threw);
     EXPECT_TRUE(threw);
-    EXPECT_EQ(kills, 0u);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_EQ(r.count("cm.enemy_aborts"), 0u);
     EXPECT_EQ(r.count("cm.self_aborts"), 1u);
     EXPECT_EQ(r.count("cm.backoffs"),
@@ -438,10 +371,10 @@ TEST(RandomizedBackoff, ReturnsWhenEnemyDrainsWithinPatience)
     Rig r;
     unsigned active_checks = 0;
     bool threw = false;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return ++active_checks <= 2; };
+    ScriptedEnemy e;
+    e.isActive = [&] { return ++active_checks <= 2; };
 
-    r.resolveOn(0, h, CmPolicy::RandomizedBackoff, &threw);
+    r.resolveOn(0, e, CmPolicy::RandomizedBackoff, &threw);
     EXPECT_FALSE(threw);
     EXPECT_EQ(r.count("cm.self_aborts"), 0u);
     EXPECT_EQ(r.count("cm.backoffs"), 2u);
@@ -451,22 +384,17 @@ TEST(RandomizedBackoff, LazyGateYieldsToAnyActiveEnemy)
 {
     Rig r;
     bool threw = false;
-    LazyCommitView v;
-    v.activeEnemies = 0b10;
-    v.enemyStamp = [](CoreId) { return std::uint64_t{0}; };
     r.onFiber([&] {
         cmPolicyFor(CmPolicy::RandomizedBackoff)
-            .lazyCommitGate(r.t, v);
+            .lazyCommitGate(r.t, 0b10);
     }, &threw);
     EXPECT_TRUE(threw);
     EXPECT_EQ(r.count("cm.self_aborts"), 1u);
 
     // No active enemy: the commit proceeds.
     bool threw2 = false;
-    LazyCommitView empty;
     r.onFiber([&] {
-        cmPolicyFor(CmPolicy::RandomizedBackoff)
-            .lazyCommitGate(r.t, empty);
+        cmPolicyFor(CmPolicy::RandomizedBackoff).lazyCommitGate(r.t, 0);
     }, &threw2);
     EXPECT_FALSE(threw2);
 }
@@ -477,13 +405,10 @@ TEST(TimestampGreedy, LazyGateYieldsOnlyToOlderEnemies)
     r.m.progress().txnBegan(0, 0, 500);  // self
     r.m.progress().txnBegan(1, 1, 900);  // younger enemy
     ProgressManager &pm = r.m.progress();
-    LazyCommitView v;
-    v.activeEnemies = 0b10;
-    v.enemyStamp = [&pm](CoreId c) { return pm.arbitrationStamp(c); };
 
     bool threw = false;
     r.onFiber([&] {
-        cmPolicyFor(CmPolicy::TimestampGreedy).lazyCommitGate(r.t, v);
+        cmPolicyFor(CmPolicy::TimestampGreedy).lazyCommitGate(r.t, 0b10);
     }, &threw);
     EXPECT_FALSE(threw);  // all enemies younger: committer proceeds
 
@@ -492,7 +417,7 @@ TEST(TimestampGreedy, LazyGateYieldsOnlyToOlderEnemies)
     pm.txnBegan(1, 1, 10);
     bool threw2 = false;
     r.onFiber([&] {
-        cmPolicyFor(CmPolicy::TimestampGreedy).lazyCommitGate(r.t, v);
+        cmPolicyFor(CmPolicy::TimestampGreedy).lazyCommitGate(r.t, 0b10);
     }, &threw2);
     EXPECT_TRUE(threw2);
     EXPECT_EQ(r.count("cm.self_aborts"), 1u);
@@ -501,17 +426,10 @@ TEST(TimestampGreedy, LazyGateYieldsOnlyToOlderEnemies)
 TEST(SerialIrrevocableFirst, FirstConflictResolvesLikePolka)
 {
     Rig r;
-    bool enemy_alive = true;
-    unsigned kills = 0;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return enemy_alive; };
-    h.abortEnemy = [&] {
-        ++kills;
-        enemy_alive = false;
-    };
+    ScriptedEnemy e;
 
-    r.resolveOn(100, h, CmPolicy::SerialIrrevocableFirst);
-    EXPECT_EQ(kills, 1u);
+    r.resolveOn(100, e, CmPolicy::SerialIrrevocableFirst);
+    EXPECT_EQ(e.kills, 1u);
     EXPECT_FALSE(r.m.progress().shouldEscalate(0));
 }
 
@@ -523,15 +441,13 @@ TEST(SerialIrrevocableFirst, RepeatConflictEscalatesToTheToken)
     r.m.progress().txnBegan(0, 0, 10);
     r.m.progress().txnAborted(0);
     r.m.progress().txnBegan(0, 0, 20);
-    unsigned kills = 0;
     bool threw = false;
-    PolkaHooks h = baseHooks();
-    h.enemyActive = [&] { return true; };
-    h.abortEnemy = [&] { ++kills; };
+    ScriptedEnemy e;
+    e.isActive = [] { return true; };
 
-    r.resolveOn(0, h, CmPolicy::SerialIrrevocableFirst, &threw);
+    r.resolveOn(0, e, CmPolicy::SerialIrrevocableFirst, &threw);
     EXPECT_TRUE(threw);
-    EXPECT_EQ(kills, 0u);
+    EXPECT_EQ(e.kills, 0u);
     EXPECT_TRUE(r.m.progress().shouldEscalate(0));
     EXPECT_EQ(r.count("cm.self_aborts"), 1u);
 }
@@ -539,11 +455,10 @@ TEST(SerialIrrevocableFirst, RepeatConflictEscalatesToTheToken)
 TEST(WaitSurfaces, BaseLockWaitRoundYieldsAfterPatience)
 {
     Rig r;
-    PolkaHooks h = baseHooks();
     bool threw = false;
     r.onFiber([&] {
         for (unsigned round = 1; round <= 10; ++round)
-            cmPolicyFor(CmPolicy::Polka).lockWaitRound(r.t, h, round);
+            cmPolicyFor(CmPolicy::Polka).lockWaitRound(r.t, round);
     }, &threw);
     EXPECT_TRUE(threw);  // round 5 throws (bounded patience)
 }
@@ -551,12 +466,11 @@ TEST(WaitSurfaces, BaseLockWaitRoundYieldsAfterPatience)
 TEST(WaitSurfaces, SerialLockWaitRoundEscalatesBeforeYielding)
 {
     Rig r;
-    PolkaHooks h = baseHooks();
     bool threw = false;
     r.onFiber([&] {
         for (unsigned round = 1; round <= 10; ++round)
             cmPolicyFor(CmPolicy::SerialIrrevocableFirst)
-                .lockWaitRound(r.t, h, round);
+                .lockWaitRound(r.t, round);
     }, &threw);
     EXPECT_TRUE(threw);
     EXPECT_TRUE(r.m.progress().shouldEscalate(0));
