@@ -144,12 +144,19 @@ TEST(FlexTmRuntime, EagerConflictInvokesManager)
     EXPECT_EQ(tb->commits(), 1u);
 }
 
-/** A plain (non-transactional) write aborts a conflicting
- *  transaction through the runtime's strong-isolation path. */
-TEST(FlexTmRuntime, StrongIsolationAbortsAndRetries)
+/** The runtimes that own a core's trap vectors while a transaction
+ *  runs on it. */
+class StrongIsolation : public ::testing::TestWithParam<RuntimeKind>
 {
+};
+
+/** A plain (non-transactional) write aborts a conflicting
+ *  transaction through its runtime's strong-isolation handler. */
+TEST_P(StrongIsolation, PlainWriteAbortsAndRetries)
+{
+    const RuntimeKind rk = GetParam();
     Machine m(cfg4());
-    RuntimeFactory f(m, RuntimeKind::FlexTmLazy);
+    RuntimeFactory f(m, rk);
     const Addr cell = m.memory().allocate(lineBytes, lineBytes);
     auto tx = f.makeThread(0, 0);
     auto plain = f.makeThread(1, 1);
@@ -177,11 +184,26 @@ TEST(FlexTmRuntime, StrongIsolationAbortsAndRetries)
     });
     m.run();
     EXPECT_GE(attempts, 2u);
-    EXPECT_GE(m.stats().counterValue(
-                  "flextm.strong_isolation_aborts"),
-              1u);
+    EXPECT_GE(m.stats().counterValue("si.aborts"), 1u);
+    if (rk == RuntimeKind::FlexTmEager || rk == RuntimeKind::FlexTmLazy) {
+        EXPECT_GE(m.stats().counterValue(
+                      "flextm.strong_isolation_aborts"),
+                  1u);
+    }
     EXPECT_EQ(tx->commits(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TrapOwners, StrongIsolation,
+    ::testing::Values(RuntimeKind::FlexTmEager, RuntimeKind::FlexTmLazy,
+                      RuntimeKind::RtmF, RuntimeKind::HyTm),
+    [](const ::testing::TestParamInfo<RuntimeKind> &info) {
+        std::string n = runtimeKindName(info.param);
+        for (auto &c : n)
+            if (c == '-')
+                c = '_';
+        return n;
+    });
 
 /** The TSW goes active -> committed in simulated memory. */
 TEST(FlexTmRuntime, TswLifecycle)
