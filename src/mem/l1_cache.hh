@@ -21,11 +21,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <vector>
 
 #include "mem/protocol.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace flextm
@@ -63,8 +63,8 @@ class L1Cache
      * the callee performs writeback / OT spill.  The returned frame
      * is zeroed with state I; the caller fills it.
      */
-    L1Line &allocate(Addr addr, Cycles now,
-                     const std::function<void(L1Line &)> &evict);
+    template <typename Evict>
+    L1Line &allocate(Addr addr, Cycles now, Evict &&evict);
 
     /** Drop a specific line (invalidate). */
     void invalidate(L1Line &line);
@@ -75,8 +75,8 @@ class L1Cache
      * a giant working set).  The line is passed to @p evict exactly
      * as in allocate(); returns false when no line is in that state.
      */
-    bool evictOneInState(LineState s,
-                         const std::function<void(L1Line &)> &evict);
+    template <typename Evict>
+    bool evictOneInState(LineState s, Evict &&evict);
 
     /** Flash commit: TMI->M, TI->I (clear T bits). */
     void flashCommit();
@@ -85,7 +85,19 @@ class L1Cache
     void flashAbort();
 
     /** Apply @p fn to every valid line (sets + victim buffer). */
-    void forEachValid(const std::function<void(L1Line &)> &fn);
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn)
+    {
+        for (auto &l : sets_) {
+            if (l.valid())
+                fn(l);
+        }
+        for (auto &l : victim_) {
+            if (l.valid())
+                fn(l);
+        }
+    }
 
     /** Count valid lines in a given state. */
     unsigned countState(LineState s) const;
@@ -105,6 +117,103 @@ class L1Cache
 
     unsigned setIndex(Addr addr) const;
 };
+
+template <typename Evict>
+L1Line &
+L1Cache::allocate(Addr addr, Cycles now, Evict &&evict)
+{
+    sim_assert(probe(addr) == nullptr, "allocate over existing line");
+    const Addr base = lineAlign(addr);
+    const unsigned set = setIndex(addr);
+
+    // Free way?
+    L1Line *frame = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+        L1Line &l = sets_[static_cast<std::size_t>(set) * ways_ + w];
+        if (!l.valid()) {
+            frame = &l;
+            break;
+        }
+    }
+
+    if (!frame) {
+        // Displace the set's LRU line into the victim buffer.
+        L1Line *lru = nullptr;
+        for (unsigned w = 0; w < ways_; ++w) {
+            L1Line &l =
+                sets_[static_cast<std::size_t>(set) * ways_ + w];
+            if (!lru || l.lastUse < lru->lastUse)
+                lru = &l;
+        }
+        victim_.push_back(*lru);
+        frame = lru;
+
+        // Victim buffer overflow: really evict its LRU entry,
+        // preferring non-speculative lines so that TMI state is
+        // spilled to the overflow table only as a last resort
+        // (Section 4.1's "at least one entry free for non-TMI
+        // lines" guidance).  In the unbounded-victim ablation
+        // (Section 7.3 overflow study) only TMI lines are exempt
+        // from eviction - the buffer is not a bigger cache for
+        // ordinary lines, it only removes the overflow path.
+        if (victim_.size() > victimEntries_) {
+            auto pick = victim_.end();
+            for (auto it = victim_.begin(); it != victim_.end(); ++it) {
+                if (it->state == LineState::TMI)
+                    continue;
+                if (pick == victim_.end() ||
+                    it->lastUse < pick->lastUse) {
+                    pick = it;
+                }
+            }
+            if (pick == victim_.end() && !unboundedVictim_) {
+                // Everything is TMI; spill the oldest.
+                pick = victim_.begin();
+                for (auto it = victim_.begin(); it != victim_.end();
+                     ++it) {
+                    if (it->lastUse < pick->lastUse)
+                        pick = it;
+                }
+            }
+            // pick == end() only in unbounded mode with an all-TMI
+            // buffer: let it grow instead of spilling.
+            if (pick != victim_.end()) {
+                if (pick->valid())
+                    evict(*pick);
+                victim_.erase(pick);
+            }
+        }
+    }
+
+    *frame = L1Line{};
+    frame->base = base;
+    frame->lastUse = now;
+    return *frame;
+}
+
+template <typename Evict>
+bool
+L1Cache::evictOneInState(LineState s, Evict &&evict)
+{
+    L1Line *pick = nullptr;
+    for (auto &l : sets_) {
+        if (l.state == s && (!pick || l.lastUse < pick->lastUse))
+            pick = &l;
+    }
+    auto pickIt = victim_.end();
+    for (auto it = victim_.begin(); it != victim_.end(); ++it) {
+        if (it->state == s && (!pick || it->lastUse < pick->lastUse)) {
+            pick = &*it;
+            pickIt = it;
+        }
+    }
+    if (!pick)
+        return false;
+    evict(*pick);
+    if (pickIt != victim_.end())
+        victim_.erase(pickIt);
+    return true;
+}
 
 } // namespace flextm
 

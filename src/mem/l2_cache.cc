@@ -59,44 +59,4 @@ L2Cache::probe(Addr addr)
     return nullptr;
 }
 
-L2Line &
-L2Cache::allocate(Addr addr, Cycles now,
-                  const std::function<void(L2Line &)> &evict)
-{
-    sim_assert(probe(addr) == nullptr, "allocate over existing line");
-    const Addr base = lineAlign(addr);
-    L2Line *frames = ensureSet(setIndex(addr));
-
-    L2Line *frame = nullptr;
-    for (unsigned w = 0; w < ways_; ++w) {
-        L2Line &l = frames[w];
-        if (!l.valid) {
-            frame = &l;
-            break;
-        }
-    }
-
-    if (!frame) {
-        // Prefer victims with no cached L1 copies.
-        L2Line *best = nullptr;
-        for (unsigned w = 0; w < ways_; ++w) {
-            L2Line &l = frames[w];
-            const bool l_free = !l.dir.anyCached();
-            const bool b_free = best && !best->dir.anyCached();
-            if (!best || (l_free && !b_free) ||
-                (l_free == b_free && l.lastUse < best->lastUse)) {
-                best = &l;
-            }
-        }
-        evict(*best);
-        frame = best;
-    }
-
-    *frame = L2Line{};
-    frame->base = base;
-    frame->valid = true;
-    frame->lastUse = now;
-    return *frame;
-}
-
 } // namespace flextm

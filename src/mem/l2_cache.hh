@@ -21,11 +21,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "mem/protocol.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace flextm
@@ -80,8 +80,8 @@ class L2Cache
      * when they do happen the displaced line is handed to @p evict
      * for recall/writeback).
      */
-    L2Line &allocate(Addr addr, Cycles now,
-                     const std::function<void(L2Line &)> &evict);
+    template <typename Evict>
+    L2Line &allocate(Addr addr, Cycles now, Evict &&evict);
 
     /** Bank servicing @p addr (latency is uniform; kept for stats). */
     unsigned bank(Addr addr) const;
@@ -103,6 +103,46 @@ class L2Cache
     L2Line *setFrames(unsigned set) { return sets_[set].get(); }
     L2Line *ensureSet(unsigned set);
 };
+
+template <typename Evict>
+L2Line &
+L2Cache::allocate(Addr addr, Cycles now, Evict &&evict)
+{
+    sim_assert(probe(addr) == nullptr, "allocate over existing line");
+    const Addr base = lineAlign(addr);
+    L2Line *frames = ensureSet(setIndex(addr));
+
+    L2Line *frame = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+        L2Line &l = frames[w];
+        if (!l.valid) {
+            frame = &l;
+            break;
+        }
+    }
+
+    if (!frame) {
+        // Prefer victims with no cached L1 copies.
+        L2Line *best = nullptr;
+        for (unsigned w = 0; w < ways_; ++w) {
+            L2Line &l = frames[w];
+            const bool l_free = !l.dir.anyCached();
+            const bool b_free = best && !best->dir.anyCached();
+            if (!best || (l_free && !b_free) ||
+                (l_free == b_free && l.lastUse < best->lastUse)) {
+                best = &l;
+            }
+        }
+        evict(*best);
+        frame = best;
+    }
+
+    *frame = L2Line{};
+    frame->base = base;
+    frame->valid = true;
+    frame->lastUse = now;
+    return *frame;
+}
 
 } // namespace flextm
 

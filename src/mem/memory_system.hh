@@ -28,14 +28,13 @@
  *  - CAS-Commit with CST-zero check and flash commit/abort;
  *  - overflow-table spills/refills, commit-time copy-back with
  *    NACKs while the copy-back is in flight;
- *  - hooks for the OS module (summary-signature miss checks and
- *    cores-summary sticky directory entries).
+ *  - calls into the OS (OsHandler: summary-signature miss checks
+ *    and cores-summary sticky directory entries).
  */
 
 #ifndef FLEXTM_MEM_MEMORY_SYSTEM_HH
 #define FLEXTM_MEM_MEMORY_SYSTEM_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -55,6 +54,45 @@
 
 namespace flextm
 {
+
+class TxThread;
+
+/**
+ * The OS side of transaction virtualization (Section 5), as the
+ * directory and the FlexTM runtime invoke it.  TxOs implements it and
+ * installs itself (MemorySystem::setOs, FlexTmGlobals::os) for its
+ * lifetime.
+ */
+class OsHandler
+{
+  public:
+    /** Result of the summary-signature check at the L2. */
+    struct MissCheck
+    {
+        Cycles latency = 0;
+        /** A *suspended* transaction's write signature covers the
+         *  line: the response must carry Threatened semantics (the
+         *  requestor may not cache a stable copy that the suspended
+         *  transaction's commit would silently stale-out). */
+        bool threatened = false;
+    };
+
+    /** Summary-signature conflict trap, taken on every L1 miss that
+     *  reaches the L2. */
+    virtual MissCheck summaryMiss(CoreId requestor, ReqType t, Addr addr,
+                                  Cycles now) = 0;
+
+    /** Keep @p core in directory lists despite a dropped line
+     *  (Cores-Summary + summary-signature match). */
+    virtual bool sticky(CoreId core, Addr addr) const = 0;
+
+    /** Abort the suspended transactions that last ran on @p core
+     *  (the Conflict Management Table), charging @p self. */
+    virtual void abortSuspendedOn(TxThread &self, CoreId core) = 0;
+
+  protected:
+    ~OsHandler() = default;
+};
 
 /** Result of a CAS protocol operation. */
 struct CasOutcome
@@ -127,30 +165,9 @@ class MemorySystem
      */
     Cycles flushTransactionalState(CoreId core, Cycles now);
 
-    /** @name OS hooks (Section 5) */
-    /// @{
-    /** Keep core in directory lists despite a dropped line
-     *  (Cores-Summary + summary-signature match). */
-    using StickyCheck = std::function<bool(CoreId, Addr)>;
-    void setStickyCheck(StickyCheck f) { stickyCheck_ = std::move(f); }
-
-    /** Result of the summary-signature check at the L2. */
-    struct MissCheck
-    {
-        Cycles latency = 0;
-        /** A *suspended* transaction's write signature covers the
-         *  line: the response must carry Threatened semantics (the
-         *  requestor may not cache a stable copy that the suspended
-         *  transaction's commit would silently stale-out). */
-        bool threatened = false;
-    };
-
-    /** Invoked on every L1 miss reaching the L2 (summary-signature
-     *  conflict trap). */
-    using MissHook =
-        std::function<MissCheck(CoreId, ReqType, Addr, Cycles)>;
-    void setMissHook(MissHook f) { missHook_ = std::move(f); }
-    /// @}
+    /** The OS consulted on L2 misses and directory pruning (null:
+     *  none installed). */
+    void setOs(OsHandler *os) { os_ = os; }
 
     /**
      * Debug/test backdoor: read the current coherent value of @p addr
@@ -269,8 +286,7 @@ class MemorySystem
     bool rsigMayContain(CoreId k, Addr addr);
     bool memoQuery(const Signature &sig, SigMemo &m, Addr addr);
 
-    StickyCheck stickyCheck_;
-    MissHook missHook_;
+    OsHandler *os_ = nullptr;
     Cycles otLatency_;
     FaultPlan *fault_ = nullptr;
     std::unique_ptr<StateAuditor> auditor_;
@@ -309,6 +325,10 @@ class MemorySystem
     RemoteResp forwardOne(CoreId k, CoreId requestor, ReqType t,
                           Addr addr, L2Line &l2line, bool &retained_tmi,
                           bool &retained_shared);
+
+    /** Allocate an L1 frame on @p core, evicting through
+     *  evictL1Line. */
+    L1Line &allocL1(CoreId core, Addr addr, Cycles now);
 
     /** Eviction handler for L1 allocate(): writeback / OT spill. */
     void evictL1Line(CoreId core, L1Line &line, Cycles now);

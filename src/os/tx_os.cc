@@ -12,23 +12,14 @@ TxOs::TxOs(Machine &m, FlexTmGlobals &globals)
       rssig_(m.config().signatureBits, m.config().signatureHashes),
       wssig_(m.config().signatureBits, m.config().signatureHashes)
 {
-    m_.memsys().setMissHook(
-        [this](CoreId req, ReqType t, Addr a, Cycles now) {
-            return missHook(req, t, a, now);
-        });
-    m_.memsys().setStickyCheck([this](CoreId c, Addr a) {
-        return stickyCheck(c, a);
-    });
-    g_.abortSuspended = [this](TxThread &self, CoreId k) {
-        abortSuspendedOf(self, k);
-    };
+    m_.memsys().setOs(this);
+    g_.os = this;
 }
 
 TxOs::~TxOs()
 {
-    m_.memsys().setMissHook(nullptr);
-    m_.memsys().setStickyCheck(nullptr);
-    g_.abortSuspended = nullptr;
+    m_.memsys().setOs(nullptr);
+    g_.os = nullptr;
 }
 
 void
@@ -151,11 +142,10 @@ TxOs::resumeMigrated(FlexTmThread &t)
     panic("migrate of a thread that is not suspended");
 }
 
-MemorySystem::MissCheck
-TxOs::missHook(CoreId requestor, ReqType t, Addr addr, Cycles now)
+OsHandler::MissCheck
+TxOs::summaryMiss(CoreId requestor, ReqType t, Addr addr, Cycles now)
 {
-    (void)now;
-    MemorySystem::MissCheck mc;
+    MissCheck mc;
     if (suspended_.empty())
         return mc;
     // The L2 consults the summary signatures on each L1 miss.
@@ -241,16 +231,12 @@ TxOs::missHook(CoreId requestor, ReqType t, Addr addr, Cycles now)
             std::uint32_t cur = 0;
             m_.memsys().peek(s.thread->tswAddr(), &cur, 4);
             if (cur == TswActive) {
-                const std::uint32_t aborted = TswAborted;
-                Cycles lat = 0;
                 // The handler performs a real CAS through the
-                // protocol; model its latency flatly.
-                (void)lat;
+                // protocol and charges its latency to the trap.
                 CasOutcome o = m_.memsys().cas(
                     requestor, s.thread->tswAddr(), TswActive,
                     TswAborted, 4, now);
                 cost += o.latency;
-                (void)aborted;
                 if (o.success)
                     ++m_.stats().counter("os.suspended_aborts");
             }
@@ -261,7 +247,7 @@ TxOs::missHook(CoreId requestor, ReqType t, Addr addr, Cycles now)
 }
 
 bool
-TxOs::stickyCheck(CoreId core, Addr addr) const
+TxOs::sticky(CoreId core, Addr addr) const
 {
     if (!(coresSummary_ & (std::uint64_t{1} << core)))
         return false;
@@ -269,7 +255,7 @@ TxOs::stickyCheck(CoreId core, Addr addr) const
 }
 
 void
-TxOs::abortSuspendedOf(TxThread &self, CoreId core)
+TxOs::abortSuspendedOn(TxThread &self, CoreId core)
 {
     for (auto &s : suspended_) {
         if (s.core != core)
@@ -291,20 +277,25 @@ TxOs::abortSuspendedOf(TxThread &self, CoreId core)
 void
 TxOs::installFaultHook(FlexTmThread &t, FaultPlan &plan)
 {
-    t.setCtxSwitchFaultHook([this, &plan](TxThread &bt) {
-        auto &ft = static_cast<FlexTmThread &>(bt);
-        if (isSuspended(ft))
-            return;
-        ++m_.stats().counter("fault.ctx_switches");
-        FTRACE(Fault, m_.scheduler().now(),
-               "forced context switch of core%u mid-tx", ft.core());
-        suspend(ft);
-        // The thread runs non-transactionally for a while (a "quantum"
-        // of other work), during which running peers hit the summary
-        // signatures.
-        ft.work(200 + plan.rng().nextInt(800u));
-        resume(ft);  // may throw TxAbort
-    });
+    plan_ = &plan;
+    t.setCtxSwitchFaultHook(this);
+}
+
+void
+TxOs::ctxSwitchFault(TxThread &bt)
+{
+    auto &ft = static_cast<FlexTmThread &>(bt);
+    if (isSuspended(ft))
+        return;
+    ++m_.stats().counter("fault.ctx_switches");
+    FTRACE(Fault, m_.scheduler().now(),
+           "forced context switch of core%u mid-tx", ft.core());
+    suspend(ft);
+    // The thread runs non-transactionally for a while (a "quantum"
+    // of other work), during which running peers hit the summary
+    // signatures.
+    ft.work(200 + plan_->rng().nextInt(800u));
+    resume(ft);  // may throw TxAbort
 }
 
 void

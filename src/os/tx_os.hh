@@ -37,8 +37,9 @@
 namespace flextm
 {
 
-/** The transaction-aware OS layer over one machine. */
-class TxOs
+/** The transaction-aware OS layer over one machine.  Installs itself
+ *  as the machine's OsHandler for its lifetime. */
+class TxOs final : private OsHandler, private CtxSwitchHandler
 {
   public:
     TxOs(Machine &m, FlexTmGlobals &globals);
@@ -68,10 +69,6 @@ class TxOs
 
     bool isSuspended(const FlexTmThread &t) const;
     std::size_t suspendedCount() const { return suspended_.size(); }
-
-    /** Summary signatures installed at the directory. */
-    const Signature &summaryRsig() const { return rssig_; }
-    const Signature &summaryWsig() const { return wssig_; }
 
     /** Cores-Summary register (bit per processor with suspended
      *  transactions). */
@@ -107,12 +104,15 @@ class TxOs
     Signature rssig_;
     Signature wssig_;
     std::uint64_t coresSummary_ = 0;
+    /** Draws the descheduled slice of installFaultHook's switches. */
+    FaultPlan *plan_ = nullptr;
 
     void recomputeSummaries();
-    MemorySystem::MissCheck missHook(CoreId requestor, ReqType t,
-                                     Addr addr, Cycles now);
-    bool stickyCheck(CoreId core, Addr addr) const;
-    void abortSuspendedOf(TxThread &self, CoreId core);
+    MissCheck summaryMiss(CoreId requestor, ReqType t, Addr addr,
+                          Cycles now) override;
+    bool sticky(CoreId core, Addr addr) const override;
+    void abortSuspendedOn(TxThread &self, CoreId core) override;
+    void ctxSwitchFault(TxThread &t) override;
 };
 
 } // namespace flextm

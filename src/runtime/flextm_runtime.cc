@@ -30,8 +30,8 @@ class FlexTmThread::CoreEnemy final : public CmEnemy
         const Addr enemy_tsw = self_.g_.tswOf[k_];
         if (enemy_tsw != 0)
             self_.casWord(enemy_tsw, TswActive, TswAborted, 4);
-        if (self_.g_.abortSuspended)
-            self_.g_.abortSuspended(self_, k_);
+        if (self_.g_.os)
+            self_.g_.os->abortSuspendedOn(self_, k_);
     }
 
     std::uint64_t
@@ -57,35 +57,11 @@ class FlexTmThread::CoreEnemy final : public CmEnemy
 FlexTmThread::FlexTmThread(Machine &m, FlexTmGlobals &globals,
                            ThreadId tid, CoreId core, ConflictMode mode)
     : TxThread(m, tid, core), g_(globals), mode_(mode),
-      ot_(m.config().signatureBits, m.config().signatureHashes)
+      // The TSW occupies its own cache line so AOU on it never
+      // aliases with data.
+      tswAddr_(m.memory().allocate(lineBytes, lineBytes)),
+      tswTx_(*this, tswAddr_, globals.tswOf, globals.karma)
 {
-    // The TSW occupies its own cache line so AOU on it never aliases
-    // with data.
-    tswAddr_ = m_.memory().allocate(lineBytes, lineBytes);
-}
-
-void
-FlexTmThread::installHooks()
-{
-    // (Re-)claim the core's trap vectors.  Installed at transaction
-    // begin and at OS resume rather than construction, so several
-    // threads can time-share one core across context switches.
-    HwContext &c = ctx();
-    c.strongAbort = [this](CoreId aggressor) {
-        (void)aggressor;
-        strongAborted_ = true;
-        ctx().aou.raise(AlertCause::RemoteUpdate, tswAddr_);
-    };
-    c.otAllocTrap = [this] { ctx().ot = &ot_; };
-}
-
-FlexTmThread::~FlexTmThread()
-{
-    HwContext &c = ctx();
-    if (c.ot == &ot_)
-        c.ot = nullptr;
-    c.strongAbort = nullptr;
-    c.otAllocTrap = nullptr;
 }
 
 std::string
@@ -97,37 +73,11 @@ FlexTmThread::name() const
 void
 FlexTmThread::beginTx()
 {
-    HwContext &c = ctx();
-    sim_assert(!c.inTx, "beginTx with transaction already active");
-    installHooks();
-
-    // Set up per-transaction metadata (Section 3.5): status word
-    // active, ALoaded for abort notification; clean signatures and
-    // CSTs; conflict-detection mode.
-    plainWrite(tswAddr_, TswActive, 4);
-    charge(m_.memsys().aload(core_, tswAddr_, m_.scheduler().now()));
-
-    c.rsig.clear();
-    c.wsig.clear();
-    c.cst.clearAll();
-    c.aou.acknowledge();
-    strongAborted_ = false;
-    ot_.clear();
-    c.ot = nullptr;  // installed by the overflow trap on first spill
-    c.mode = mode_;
-    c.inTx = true;
-
-    g_.tswOf[core_] = tswAddr_;
-    // Starvation escalation: consecutive aborts carry over as bonus
-    // karma, so a repeatedly-victimized transaction wins Polka
-    // arbitration on its retries.
-    g_.karma[core_] = m_.progress().bonusKarma(tid_);
+    sim_assert(!ctx().inTx, "beginTx with transaction already active");
     txConflictMask_ = 0;
-
     // Duality (auditor invariant I5) holds because commit/abort
     // retire our bits from remote CSTs (selfCleanRemoteCsts).
-    if (StateAuditor *a = m_.memsys().auditor())
-        a->noteTxBegin(core_, tid_, tswAddr_, TswActive, true);
+    tswTx_.begin(mode_, /*tracks_csts=*/true);
 
     // Register checkpointing: spill of local registers to the stack
     // (the paper's main remaining software overhead; Section 7.3).
@@ -152,7 +102,7 @@ FlexTmThread::checkAlert()
     if (auditor)
         auditor->noteSettling(core_, true);
 
-    if (strongAborted_) {
+    if (tswTx_.strongAborted) {
         ++g_.siAborts;
         throw TxAbort{AbortCause::EnemyKill};
     }
@@ -305,8 +255,8 @@ FlexTmThread::commitTx()
                 if (o.success)
                     ++g_.commitKills;
             }
-            if (g_.abortSuspended)
-                g_.abortSuspended(*this, k);
+            if (g_.os)
+                g_.os->abortSuspendedOn(*this, k);
         });
 
         // The kill loop above yields once per enemy CAS; a plain
@@ -338,7 +288,7 @@ FlexTmThread::commitTx()
             // hints or peers would record conflicts against a dead
             // transaction.
             const CstSet saved_cst = ctx().cst;
-            resetHwTxState();
+            tswTx_.end();
             selfCleanRemoteCsts(saved_cst);
             return true;
           }
@@ -352,26 +302,6 @@ FlexTmThread::commitTx()
             throw TxAbort{AbortCause::EnemyKill};
         }
     }
-}
-
-void
-FlexTmThread::injectSpuriousAlert()
-{
-    // A capacity alert with the TSW still active: the handler must
-    // survive it by re-establishing the watch.
-    ctx().aou.raise(AlertCause::Capacity, tswAddr_);
-    checkAlert();
-}
-
-void
-FlexTmThread::injectRemoteAbort()
-{
-    // Model an enemy's commit-time kill: CAS our TSW to aborted and
-    // deliver the AOU alert, driving the full abort path.
-    ++ctr_.faultForcedAborts;
-    casWord(tswAddr_, TswActive, TswAborted, 4);
-    ctx().aou.raise(AlertCause::RemoteUpdate, tswAddr_);
-    checkAlert();  // observes the aborted TSW and throws
 }
 
 void
@@ -399,24 +329,6 @@ FlexTmThread::selfCleanRemoteCsts(const CstSet &cst)
 }
 
 void
-FlexTmThread::resetHwTxState()
-{
-    HwContext &c = ctx();
-    c.rsig.clear();
-    c.wsig.clear();
-    c.cst.clearAll();
-    m_.memsys().arelease(core_, tswAddr_);
-    c.aou.acknowledge();
-    c.ot = nullptr;
-    c.inTx = false;
-    g_.tswOf[core_] = 0;
-    g_.karma[core_] = 0;
-    strongAborted_ = false;
-    if (StateAuditor *a = m_.memsys().auditor())
-        a->noteTxEnd(core_);
-}
-
-void
 FlexTmThread::osSnapshot(OsSavedState &out)
 {
     HwContext &c = ctx();
@@ -438,7 +350,7 @@ FlexTmThread::osDetach()
     // caller) are checked (Section 5).  The per-core signatures are
     // still live during the spill, so conflicts in flight are
     // caught by whichever mechanism sees them first.
-    c.ot = &ot_;
+    c.ot = &tswTx_.ot;
     charge(m_.memsys().flushTransactionalState(core_,
                                                m_.scheduler().now()));
 
@@ -481,7 +393,7 @@ FlexTmThread::osDeliverAlert()
     StateAuditor *auditor = m_.memsys().auditor();
     if (auditor)
         auditor->noteSettling(core_, true);
-    if (strongAborted_) {
+    if (tswTx_.strongAborted) {
         ++g_.siAborts;
         throw TxAbort{AbortCause::EnemyKill};
     }
@@ -501,12 +413,14 @@ FlexTmThread::osRestore(const OsSavedState &in)
 {
     HwContext &c = ctx();
     sim_assert(!c.inTx, "osRestore with a transaction active");
-    installHooks();
+    // Re-claim the trap vectors: another thread may have used the
+    // core while this one was descheduled.
+    c.trap = &tswTx_;
     c.rsig = in.rsig;
     c.wsig = in.wsig;
     c.cst = in.cst;
-    if (!ot_.empty())
-        c.ot = &ot_;
+    if (!tswTx_.ot.empty())
+        c.ot = &tswTx_.ot;
     c.inTx = true;
     g_.tswOf[core_] = tswAddr_;
     work(60);  // OS restore path
@@ -544,7 +458,7 @@ FlexTmThread::abortCleanup()
     FTRACE(Tm, m_.scheduler().now(), "core%u abort tx", core_);
     charge(m_.memsys().abortTx(core_, m_.scheduler().now()));
     const CstSet saved_cst = ctx().cst;
-    resetHwTxState();
+    tswTx_.end();
     selfCleanRemoteCsts(saved_cst);
 }
 

@@ -60,15 +60,7 @@ HyTmThread::HyTmThread(Machine &m, HyTmGlobals &g, ThreadId tid,
     tswAddr_ = m_.memory().allocate(lineBytes, lineBytes);
     readSet_.reserve(m.config().htmReadSetLines);
     writeSet_.reserve(m.config().htmWriteSetLines);
-    // A bounded HTM cannot survive losing the processor: a context
-    // switch during a hardware attempt is a spurious abort.  The
-    // software slow path is unaffected.
-    setCtxSwitchFaultHook([this](TxThread &) {
-        if (slowMode_)
-            return;
-        ++hg_.spuriousAborts;
-        throw TxAbort{AbortCause::Fault};
-    });
+    setCtxSwitchFaultHook(this);
 }
 
 HyTmThread::~HyTmThread()
@@ -76,33 +68,42 @@ HyTmThread::~HyTmThread()
     HwContext &c = ctx();
     if (c.ot == &emergencyOt_)
         c.ot = nullptr;
-    c.strongAbort = nullptr;
-    c.otAllocTrap = nullptr;
+    if (c.trap == this)
+        c.trap = nullptr;
 }
 
 void
-HyTmThread::installHooks()
+HyTmThread::strongAbort(CoreId)
 {
-    HwContext &c = ctx();
-    // Strong isolation and the fallback gate both arrive as a remote
-    // GETX hitting our signatures.  No AOU here: a bounded HTM has no
-    // alert hardware, so the flag is polled at the next access/commit
-    // (sound - the only yields between protocol actions are ours).
-    c.strongAbort = [this](CoreId aggressor) {
-        (void)aggressor;
-        strongAborted_ = true;
-    };
+    // No AOU here: a bounded HTM has no alert hardware, so the flag
+    // is polled at the next access/commit (sound - the only yields
+    // between protocol actions are ours).
+    strongAborted_ = true;
+}
+
+void
+HyTmThread::otAllocTrap()
+{
     // No OT virtualization either, but the protocol engine needs a
     // destination when fault injection forces a TMI line out of the
     // L1.  Park it in the emergency table and doom the attempt: the
     // values are discarded on the capacity abort, never committed.
-    c.otAllocTrap = [this] {
-        ctx().ot = &emergencyOt_;
-        overflowed_ = true;
-        ++hg_.overflowTraps;
-        if (StateAuditor *a = m_.memsys().auditor())
-            a->noteHtmOverflow(core_);
-    };
+    ctx().ot = &emergencyOt_;
+    overflowed_ = true;
+    ++hg_.overflowTraps;
+    if (StateAuditor *a = m_.memsys().auditor())
+        a->noteHtmOverflow(core_);
+}
+
+void
+HyTmThread::ctxSwitchFault(TxThread &)
+{
+    // A context switch during a hardware attempt is a spurious
+    // abort.  The software slow path is unaffected.
+    if (slowMode_)
+        return;
+    ++hg_.spuriousAborts;
+    throw TxAbort{AbortCause::Fault};
 }
 
 void
@@ -129,23 +130,16 @@ HyTmThread::beginTx()
     while (plainRead(hg_.gateAddr, 8) != 0)
         work(64);
 
-    installHooks();
     plainWrite(tswAddr_, TswActive, 4);
-    c.rsig.clear();
-    c.wsig.clear();
-    c.cst.clearAll();
-    c.aou.acknowledge();
     strongAborted_ = false;
     overflowed_ = false;
     readSet_.clear();
     writeSet_.clear();
     emergencyOt_.clear();
-    c.ot = nullptr;
     // Lazy responses: conflicts are recorded at the responder and
     // reported to the requestor, who self-aborts (postAccessCheck) -
     // the surviving side never needs commit-time kills.
-    c.mode = ConflictMode::Lazy;
-    c.inTx = true;
+    c.beginTx(ConflictMode::Lazy, *this);
 
     if (StateAuditor *a = m_.memsys().auditor()) {
         // tracks_csts=false: the CST registers fill with responder
@@ -316,13 +310,7 @@ HyTmThread::injectSpuriousAlert()
 void
 HyTmThread::resetHwTxState()
 {
-    HwContext &c = ctx();
-    c.rsig.clear();
-    c.wsig.clear();
-    c.cst.clearAll();
-    c.aou.acknowledge();
-    c.ot = nullptr;
-    c.inTx = false;
+    ctx().endTx();
     strongAborted_ = false;
     overflowed_ = false;
     readSet_.clear();

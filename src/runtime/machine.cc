@@ -9,8 +9,7 @@ namespace flextm
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), mem_(cfg.memoryBytes), progress_(cfg.progress, stats_)
 {
-    sched_.setWatchdog(
-        [this](Cycles now) { progress_.watchdogPoll(now); });
+    sched_.setWatchdog(&progress_);
     sched_.setStackBytes(cfg_.fiberStackKiB * 1024);
     contexts_.reserve(cfg_.cores);
     for (unsigned c = 0; c < cfg_.cores; ++c) {
@@ -33,11 +32,9 @@ Machine::Machine(const MachineConfig &cfg)
     memsys_ =
         std::make_unique<MemorySystem>(cfg_, mem_, contexts_, stats_);
     // The I9 progressiveness check must know who holds the
-    // irrevocability token; the auditor has no ProgressManager
-    // access of its own.
+    // irrevocability token.
     if (StateAuditor *a = memsys_->auditor())
-        a->setIrrevocableCoreQuery(
-            [this](CoreId c) { return progress_.isIrrevocableCore(c); });
+        a->setProgress(&progress_);
     fault_.configure(cfg_.fault, cfg_.seed);
     if (fault_.enabled()) {
         sched_.setFaultPlan(&fault_);

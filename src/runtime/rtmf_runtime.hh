@@ -19,7 +19,6 @@
 #ifndef FLEXTM_RUNTIME_RTMF_RUNTIME_HH
 #define FLEXTM_RUNTIME_RTMF_RUNTIME_HH
 
-#include "core/overflow_table.hh"
 #include "runtime/object_stm.hh"
 #include "sim/flat_map.hh"
 
@@ -32,7 +31,6 @@ class RtmfThread : public ObjectStmThread
   public:
     RtmfThread(Machine &m, ObjectStmGlobals &g, ThreadId tid,
                CoreId core);
-    ~RtmfThread() override;
 
     std::string name() const override { return "RTM-F"; }
 
@@ -42,13 +40,12 @@ class RtmfThread : public ObjectStmThread
     void abortCleanup() override;
     std::uint64_t txRead(Addr a, unsigned size) override;
     void txWrite(Addr a, std::uint64_t v, unsigned size) override;
-    void injectSpuriousAlert() override;
-    void injectRemoteAbort() override;
+    void injectSpuriousAlert() override { tswTx_.spuriousAlert(); }
+    void injectRemoteAbort() override { tswTx_.remoteAbort(); }
     void pollAbort() override { checkAlert(); }
 
   private:
-    OverflowTable ot_;
-    bool strongAborted_ = false;
+    TswTx tswTx_;
 
     /** Headers we ALoaded for read monitoring -> word observed. */
     FlatMap<Addr, std::uint64_t> readHeaders_;
@@ -57,8 +54,6 @@ class RtmfThread : public ObjectStmThread
     /** Lines already opened (avoid re-running open protocol). */
     FlatSet<Addr> openedLines_;
 
-    HwContext &ctx() { return m_.context(core_); }
-
     void checkAlert();
     /** After a header alert: confirm every watched header still has
      *  the word we observed (a committed writer bumps it). */
@@ -66,9 +61,6 @@ class RtmfThread : public ObjectStmThread
     void openForRead(Addr a);
     void openForWrite(Addr a);
     void releaseAll(bool committed);
-    /** End-of-transaction hardware and registry reset shared by
-     *  commit and abort (after releaseAll). */
-    void resetHwTxState();
 };
 
 } // namespace flextm

@@ -9,6 +9,7 @@
 #include "sim/env_util.hh"
 #include "sim/logging.hh"
 #include "sim/oracle.hh"
+#include "sim/progress.hh"
 
 namespace flextm
 {
@@ -230,7 +231,7 @@ StateAuditor::noteEnemyAbort(Cycles now, CoreId aggressor,
     noteEvent(now, "cm_kill", aggressor, 0, victim);
     if (victim == invalidCore || victim >= cores_.size())
         return;
-    if (irrevocableCore_ && irrevocableCore_(victim)) {
+    if (progress_ && progress_->isIrrevocableCore(victim)) {
         violation(now, "I9 progressiveness", aggressor, 0,
                   "core " + std::to_string(aggressor) +
                       " killed the irrevocability-token holder on "

@@ -71,7 +71,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -83,6 +82,7 @@ namespace flextm
 {
 
 class MemorySystem;
+class ProgressManager;
 class TxOracle;
 
 /** Which checkpoint class a sweep request comes from. */
@@ -190,14 +190,10 @@ class StateAuditor
     void noteCmConflict(CoreId core, CoreId enemy);
     /** The contention manager on @p aggressor is killing the
      *  transaction on @p victim: checked immediately against the
-     *  recorded conflicts and the irrevocability-token query. */
+     *  recorded conflicts and the irrevocability-token holder. */
     void noteEnemyAbort(Cycles now, CoreId aggressor, CoreId victim);
-    /** Who holds the irrevocability token (wired by Machine; the
-     *  auditor has no ProgressManager access). */
-    void setIrrevocableCoreQuery(std::function<bool(CoreId)> q)
-    {
-        irrevocableCore_ = std::move(q);
-    }
+    /** Who holds the irrevocability token (wired by Machine). */
+    void setProgress(const ProgressManager *p) { progress_ = p; }
     /// @}
 
     /** Append one event to the repro trace ring. */
@@ -287,7 +283,7 @@ class StateAuditor
     std::uint64_t lastCleanSeq_ = 0;
     const char *lastCleanWhat_ = "start";
 
-    std::function<bool(CoreId)> irrevocableCore_;
+    const ProgressManager *progress_ = nullptr;
 
     bool collect_ = false;
     bool inSweep_ = false;

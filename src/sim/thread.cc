@@ -4,6 +4,7 @@
 
 #include "sim/fault.hh"
 #include "sim/logging.hh"
+#include "sim/progress.hh"
 
 // ucontext fibers run on heap-allocated stacks that AddressSanitizer
 // knows nothing about: without explicit fiber-switch annotations its
@@ -318,7 +319,7 @@ Scheduler::run()
             heapRemove(next);
         }
         if (watchdog_)
-            watchdog_(next->clock());
+            watchdog_->watchdogPoll(next->clock());
         switchTo(*next);
     }
 }
@@ -328,7 +329,7 @@ Scheduler::pollWatchdogSliced(Cycles now)
 {
     if (watchdog_ && --sliceLeft_ == 0) {
         sliceLeft_ = kWatchdogSlice;
-        watchdog_(now);
+        watchdog_->watchdogPoll(now);
     }
 }
 

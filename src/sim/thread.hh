@@ -35,6 +35,7 @@ namespace flextm
 {
 
 class FaultPlan;
+class ProgressManager;
 class Scheduler;
 
 /** One simulated thread of execution. */
@@ -53,7 +54,6 @@ class SimThread
 
     ThreadId id() const { return id_; }
     CoreId core() const { return core_; }
-    void setCore(CoreId c) { core_ = c; }
 
     State state() const { return state_; }
     Cycles clock() const { return clock_; }
@@ -130,7 +130,6 @@ class Scheduler
 
     /** The thread currently executing (valid only inside run()). */
     SimThread &current();
-    bool inThread() const { return current_ != nullptr; }
 
     /** Charge cycles to the current thread. */
     void advance(Cycles n);
@@ -139,7 +138,6 @@ class Scheduler
     Cycles now() const;
 
     SimThread &thread(ThreadId tid);
-    std::size_t threadCount() const { return threads_.size(); }
 
     /** Largest clock over all threads (machine finish time).
      *  Maintained incrementally at yield/block/exit/syncClock
@@ -157,15 +155,11 @@ class Scheduler
     void setFaultPlan(FaultPlan *p);
 
     /**
-     * Attach a watchdog polled with the dispatched thread's clock on
-     * every dispatch (the machine wires this to the livelock
-     * watchdog).  Same-thread run slices amortize the poll to every
-     * kWatchdogSlice continues.
+     * Attach the livelock watchdog, polled with the dispatched
+     * thread's clock on every dispatch.  Same-thread run slices
+     * amortize the poll to every kWatchdogSlice continues.
      */
-    void setWatchdog(std::function<void(Cycles)> w)
-    {
-        watchdog_ = std::move(w);
-    }
+    void setWatchdog(ProgressManager *w) { watchdog_ = w; }
 
   private:
     friend class SimThread;
@@ -186,7 +180,7 @@ class Scheduler
     FaultPlan *fault_ = nullptr;
     /** Latched fault schedule window (0 = strict min-clock order). */
     Cycles window_ = 0;
-    std::function<void(Cycles)> watchdog_;
+    ProgressManager *watchdog_ = nullptr;
     /** Binary min-heap over (clock, id) of the Runnable threads that
      *  are not currently on a fiber (the dispatch source). */
     std::vector<SimThread *> ready_;

@@ -114,8 +114,7 @@ runCommon(WorkloadKind wk, RuntimeKind rk, const ExperimentOptions &opt)
         if (opt.primeBackground) {
             primes.push_back(
                 std::make_unique<PrimeWorker>(opt.seed * 31 + i));
-            PrimeWorker *pw = primes.back().get();
-            t->setOnAbortYield([t, pw] { pw->runChunk(*t); });
+            t->setOnAbortYield(primes.back().get());
         }
         Workload *w = wl.get();
         const unsigned total = opt.totalOps;

@@ -129,7 +129,8 @@ TEST_F(ProgressivenessTeeth, RetryResetsTheJustification)
 
 TEST_F(ProgressivenessTeeth, TokenHolderKillTripsEvenWhenJustified)
 {
-    aud->setIrrevocableCoreQuery([](CoreId c) { return c == 1; });
+    // The transaction on core 1 holds the irrevocability token.
+    ASSERT_TRUE(m->progress().tryAcquireToken(/*tid=*/1, /*core=*/1));
     aud->noteCmTxnStart(0);
     aud->noteCmConflict(0, 1);
     aud->clearViolations();
