@@ -252,6 +252,94 @@ TEST(NativeLibTl2, StaleSnapshotReadAborts)
     tm_destroy(sh);
 }
 
+// ---------------------------------------------------------------
+// Dead handles: one death test per entry point that takes a tx_t.
+// ---------------------------------------------------------------
+
+/** Begin a TL2 transaction and doom it: another thread commits a
+ *  write past its snapshot, so its next tm_read returns false. */
+tx_t
+abortedTx(shared_t sh)
+{
+    auto *words = static_cast<std::uint64_t *>(tm_start(sh));
+    tx_t tx = tm_begin(sh, false);
+    bool ok;
+    readWord(sh, tx, &words[0], &ok);
+    std::thread writer([&] {
+        runTxn(sh, false, [&](tx_t w) {
+            const std::uint64_t v = 7;
+            return tm_write(sh, w, &v, sizeof v, &words[1]);
+        });
+    });
+    writer.join();
+    std::uint64_t v;
+    EXPECT_FALSE(tm_read(sh, tx, &words[1], sizeof v, &v));
+    return tx;
+}
+
+class NativeLibDeadHandleDeath : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        // Re-run the test in the child: the doomed handle needs a
+        // writer thread, and fork() only copies the calling one.
+        ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+        sh = tm_create_with(1024, 8, Backend::Tl2);
+        ASSERT_NE(sh, invalid_shared);
+        words = static_cast<std::uint64_t *>(tm_start(sh));
+    }
+
+    void TearDown() override { tm_destroy(sh); }
+
+    shared_t sh = invalid_shared;
+    std::uint64_t *words = nullptr;
+};
+
+TEST_F(NativeLibDeadHandleDeath, ReadAfterCommitIsFatal)
+{
+    tx_t tx = tm_begin(sh, true);
+    ASSERT_TRUE(tm_end(sh, tx));
+    std::uint64_t v;
+    EXPECT_DEATH(tm_read(sh, tx, &words[0], 8, &v), "not live");
+}
+
+TEST_F(NativeLibDeadHandleDeath, WriteAfterAbortIsFatal)
+{
+    // The scenario that used to publish the write: ignoring the
+    // abort, tm_write returned true and tm_end committed it.
+    tx_t tx = abortedTx(sh);
+    const std::uint64_t v = 7;
+    EXPECT_DEATH(tm_write(sh, tx, &v, 8, &words[2]), "not live");
+}
+
+TEST_F(NativeLibDeadHandleDeath, EndAfterAbortIsFatal)
+{
+    tx_t tx = abortedTx(sh);
+    EXPECT_DEATH(tm_end(sh, tx), "not live");
+}
+
+TEST_F(NativeLibDeadHandleDeath, AllocWithAnotherRegionsHandleIsFatal)
+{
+    shared_t other = tm_create_with(1024, 8, Backend::Tl2);
+    ASSERT_NE(other, invalid_shared);
+    tx_t tx = tm_begin(other, false);
+    void *seg = nullptr;
+    EXPECT_DEATH(tm_alloc(sh, tx, 64, &seg), "not live");
+    EXPECT_TRUE(tm_end(other, tx));
+    tm_destroy(other);
+}
+
+TEST_F(NativeLibDeadHandleDeath, FreeAfterCommitIsFatal)
+{
+    tx_t tx = tm_begin(sh, false);
+    void *seg = nullptr;
+    ASSERT_EQ(tm_alloc(sh, tx, 64, &seg), Alloc::success);
+    ASSERT_TRUE(tm_end(sh, tx));
+    EXPECT_DEATH(tm_free(sh, tx, seg), "not live");
+}
+
 TEST_P(NativeLib, ConcurrentCountersAreExactAndSerializable)
 {
     constexpr unsigned kThreads = 4;
