@@ -32,7 +32,6 @@ class DramBackend final : public MemBackend
 
     /** @name Test hooks */
     /// @{
-    const DramAddressMap &addressMap() const { return map_; }
     const DramChannel &channel(unsigned i) const
     {
         return channels_[i];

@@ -50,9 +50,6 @@ class SimMemory
     /** Free a block previously returned by allocate(). */
     void free(Addr addr);
 
-    /** Bytes currently handed out by the allocator. */
-    std::size_t allocatedBytes() const { return allocated_; }
-
     /** Number of live allocations. */
     std::size_t liveAllocations() const { return blocks_.size(); }
 

@@ -103,7 +103,6 @@ class StatRegistry
 
     Counter &counterAt(StatHandle h) { return slots_[h]; }
     const Counter &counterAt(StatHandle h) const { return slots_[h]; }
-    Histogram &histogramAt(StatHandle h) { return hslots_[h]; }
 
     /** Value of a named counter, 0 when unregistered.  Allocation
      *  free: the name is looked up heterogeneously. */
