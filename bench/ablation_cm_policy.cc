@@ -87,12 +87,12 @@ adversarialTable(const Scenario &sc, RuntimeKind rk)
         o.threads = 8;
         o.totalOps = opsFor(sc.wk) / 4;
         o.seed = 1;
-        o.fault = sc.fault;
+        o.machine.fault = sc.fault;
         o.machine.cmPolicy = p;
         o.quiet = true;
         o.machine.cores = 16;
         o.machine.memoryBytes = 128u << 20;
-        const FaultRunResult r = runFaultedExperiment(sc.wk, rk, o);
+        const ExperimentResult r = runFaultedExperiment(sc.wk, rk, o);
         std::printf("%24s %8llu %8llu %10llu %10llu %9llu %8u %8llu%s\n",
                     cmPolicyName(p),
                     static_cast<unsigned long long>(r.commits),

@@ -73,16 +73,16 @@ main()
         for (unsigned threads : threadSweep) {
             double pe = 0, pl = 0, ae = 0, al = 0;
             for (unsigned s = 1; s <= benchSeeds; ++s) {
-                const MixedResult e = runMixedExperiment(
-                    wk, RuntimeKind::FlexTmEager,
-                    defaultOptions(wk, threads, s));
-                const MixedResult l = runMixedExperiment(
-                    wk, RuntimeKind::FlexTmLazy,
-                    defaultOptions(wk, threads, s));
+                ExperimentOptions o = defaultOptions(wk, threads, s);
+                o.primeBackground = true;
+                const ExperimentResult e =
+                    runExperiment(wk, RuntimeKind::FlexTmEager, o);
+                const ExperimentResult l =
+                    runExperiment(wk, RuntimeKind::FlexTmLazy, o);
                 pe += e.primeThroughput / benchSeeds;
                 pl += l.primeThroughput / benchSeeds;
-                ae += e.tm.throughput / benchSeeds;
-                al += l.tm.throughput / benchSeeds;
+                ae += e.throughput / benchSeeds;
+                al += l.throughput / benchSeeds;
             }
             printRow(threads, {pe / p_base, pl / p_base,
                                ae / app_base, al / app_base});

@@ -173,7 +173,7 @@ TEST_P(CmAdversarialSweep, PackProgressesAndStaysSerializable)
     const auto &kinds = allRuntimeKinds();
     const std::size_t cells =
         kinds.size() * std::size(kAdversarial) * kAdvSeedsPerCell;
-    std::vector<FaultRunResult> results(cells);
+    std::vector<ExperimentResult> results(cells);
     parallelFor(cells, defaultJobs(), [&](std::size_t i) {
         const std::size_t rt =
             i / (std::size(kAdversarial) * kAdvSeedsPerCell);
@@ -196,7 +196,7 @@ TEST_P(CmAdversarialSweep, PackProgressesAndStaysSerializable)
         results[i] =
             runFaultedExperiment(kAdversarial[wl], kinds[rt], opt);
     });
-    for (const FaultRunResult &r : results) {
+    for (const ExperimentResult &r : results) {
         EXPECT_FALSE(r.timedOut) << r.context;
         if (r.timedOut)
             continue;
@@ -225,7 +225,7 @@ TEST(AdversarialPack, HotSpotStormsAndMetricsSurface)
     opt.threads = 4;
     opt.totalOps = 64;
     opt.quiet = true;
-    const FaultRunResult r = runFaultedExperiment(
+    const ExperimentResult r = runFaultedExperiment(
         WorkloadKind::HotSpot, RuntimeKind::FlexTmEager, opt);
     ASSERT_TRUE(r.report.ok) << r.report.message;
     EXPECT_GT(r.aborts, 0u) << "hot-spot storm produced no conflicts";
@@ -247,7 +247,7 @@ TEST(AdversarialPack, CyclicConflictGeneratesCycles)
     opt.threads = 4;
     opt.totalOps = 64;
     opt.quiet = true;
-    const FaultRunResult r = runFaultedExperiment(
+    const ExperimentResult r = runFaultedExperiment(
         WorkloadKind::CyclicConflict, RuntimeKind::FlexTmEager, opt);
     ASSERT_TRUE(r.report.ok) << r.report.message;
     EXPECT_GT(r.aborts, 0u)
@@ -272,7 +272,7 @@ TEST_P(CmPolicyFaultSweep, FiftyFourSeedsSerializable)
     };
     constexpr unsigned seedsPerCell = 18;
     const std::size_t cells = std::size(workloads) * seedsPerCell;
-    std::vector<FaultRunResult> results(cells);
+    std::vector<ExperimentResult> results(cells);
     parallelFor(cells, defaultJobs(), [&](std::size_t i) {
         FaultRunOptions opt;
         opt.seed = 30000 + policyIndex(policy) * cells + i;
@@ -285,7 +285,7 @@ TEST_P(CmPolicyFaultSweep, FiftyFourSeedsSerializable)
             opt);
     });
     std::uint64_t fired = 0;
-    for (const FaultRunResult &r : results) {
+    for (const ExperimentResult &r : results) {
         ASSERT_TRUE(r.report.ok) << r.report.message;
         EXPECT_FALSE(r.timedOut) << r.context;
         EXPECT_GT(r.commits, 0u) << r.context;

@@ -35,7 +35,7 @@ cellOptions(int which)
     return opt;
 }
 
-FaultRunResult
+ExperimentResult
 runCell(int which)
 {
     return which == 0
@@ -48,7 +48,7 @@ runCell(int which)
 }
 
 void
-expectIdentical(const FaultRunResult &a, const FaultRunResult &b)
+expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
 {
     EXPECT_TRUE(a.report.ok) << a.report.message;
     EXPECT_TRUE(b.report.ok) << b.report.message;
@@ -66,10 +66,10 @@ expectIdentical(const FaultRunResult &a, const FaultRunResult &b)
  *  the fault plans (thread_local actives) cannot cross-fire. */
 TEST(ConcurrentMachines, FaultedRunsMatchSerialTwins)
 {
-    const FaultRunResult serial0 = runCell(0);
-    const FaultRunResult serial1 = runCell(1);
+    const ExperimentResult serial0 = runCell(0);
+    const ExperimentResult serial1 = runCell(1);
 
-    FaultRunResult conc0, conc1;
+    ExperimentResult conc0, conc1;
     std::thread t0([&] { conc0 = runCell(0); });
     std::thread t1([&] { conc1 = runCell(1); });
     t0.join();

@@ -330,7 +330,7 @@ dramCell(std::uint64_t seed)
         fp.dramReads = m.stats().counterValue("dram.reads");
         fp.dramWrites = m.stats().counterValue("dram.writes");
     };
-    const FaultRunResult r = runFaultedExperiment(
+    const ExperimentResult r = runFaultedExperiment(
         WorkloadKind::HashTable, RuntimeKind::FlexTmEager, opt);
     EXPECT_TRUE(r.report.ok) << r.report.message;
     EXPECT_FALSE(r.timedOut) << r.context;

@@ -61,7 +61,7 @@ sweepRuntime(RuntimeKind rk, unsigned rt_index)
     // The cells are independent Machines, so they run across a
     // thread pool; gtest assertions happen only after the join.
     const std::size_t cells = std::size(kWorkloads) * kSeedsPerCell;
-    std::vector<FaultRunResult> results(cells);
+    std::vector<ExperimentResult> results(cells);
     parallelFor(cells, defaultJobs(), [&](std::size_t i) {
         FaultRunOptions opt;
         opt.seed = cellSeed(rt_index,
@@ -74,7 +74,7 @@ sweepRuntime(RuntimeKind rk, unsigned rt_index)
             runFaultedExperiment(kWorkloads[i / kSeedsPerCell], rk, opt);
     });
     std::uint64_t fired = 0;
-    for (const FaultRunResult &r : results) {
+    for (const ExperimentResult &r : results) {
         ASSERT_TRUE(r.report.ok) << r.report.message;
         EXPECT_GT(r.commits, 0u) << r.context;
         EXPECT_GT(r.report.checkedTxns, 0u) << r.context;
@@ -109,29 +109,34 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /** Forced TMI evictions must drive the Overflow Table through its
- *  spill and refill paths - and the history must stay serializable. */
+ *  spill and refill paths - and the history must stay serializable.
+ *  The mix configured in MachineConfig::fault is the one that runs:
+ *  forced evictions are the only injections that fire. */
 TEST(FaultInjection, ForcedEvictionsExerciseOverflowTable)
 {
     FaultRunOptions opt;
     opt.seed = 4242;
     opt.threads = 4;
     opt.totalOps = 96;
-    opt.fault.seed = 4242;
-    opt.fault.tmiEvictPct = 30;
-    opt.fault.schedWindowCycles = 32;
+    opt.machine.fault.seed = 4242;
+    opt.machine.fault.tmiEvictPct = 30;
+    opt.machine.fault.schedWindowCycles = 32;
 
-    std::uint64_t evictions = 0, spills = 0, refills = 0;
+    std::uint64_t evictions = 0, spills = 0, refills = 0, tmi_fired = 0;
     opt.inspect = [&](Machine &m) {
         evictions = m.stats().counterValue("fault.tmi_evictions");
         spills = m.stats().counterValue("ot.spills");
         refills = m.stats().counterValue("ot.refills");
+        tmi_fired = m.faultPlan()->fired(FaultKind::TmiEvict);
     };
-    FaultRunResult r = runFaultedExperiment(
+    ExperimentResult r = runFaultedExperiment(
         WorkloadKind::LFUCache, RuntimeKind::FlexTmLazy, opt);
     EXPECT_TRUE(r.report.ok) << r.report.message;
     EXPECT_GT(evictions, 0u);
     EXPECT_GT(spills, 0u);
     EXPECT_GT(refills, 0u);
+    EXPECT_GT(tmi_fired, 0u);
+    EXPECT_EQ(r.faultsFired, tmi_fired);
 }
 
 /** Same plan + seed replays identically; different seeds diverge. */
@@ -169,8 +174,8 @@ TEST(FaultPlanDeterminism, HarnessRunsReplayExactly)
         return runFaultedExperiment(WorkloadKind::HashTable,
                                     RuntimeKind::FlexTmEager, opt);
     };
-    FaultRunResult a = run();
-    FaultRunResult b = run();
+    ExperimentResult a = run();
+    ExperimentResult b = run();
     EXPECT_TRUE(a.report.ok) << a.report.message;
     EXPECT_EQ(a.commits, b.commits);
     EXPECT_EQ(a.aborts, b.aborts);

@@ -46,10 +46,10 @@ adversarialOptions(std::uint64_t seed)
     // Manufacture conflicts that are not real (signature false
     // positives), shuffle interleavings (scheduler tie-break
     // window), and land occasional enemy-style kills.
-    opt.fault.seed = seed;
-    opt.fault.sigFalsePositivePct = 8;
-    opt.fault.remoteAbortPct = 1;
-    opt.fault.schedWindowCycles = 64;
+    opt.machine.fault.seed = seed;
+    opt.machine.fault.sigFalsePositivePct = 8;
+    opt.machine.fault.remoteAbortPct = 1;
+    opt.machine.fault.schedWindowCycles = 64;
     // Hair-trigger escalation so the serial fallback engages within
     // a small run; the watchdog backstops it.
     opt.machine.progress.escalationThreshold = 2;
@@ -66,7 +66,7 @@ sweepRuntime(RuntimeKind rk, unsigned rt_index)
     // Independent adversarial cells across a thread pool; the gtest
     // assertions run after the join, over pre-sized result slots.
     const std::size_t cells = std::size(kWorkloads) * kSeedsPerCell;
-    std::vector<FaultRunResult> results(cells);
+    std::vector<ExperimentResult> results(cells);
     parallelFor(cells, defaultJobs(), [&](std::size_t i) {
         const std::size_t w = i / kSeedsPerCell;
         const std::uint64_t seed =
@@ -79,7 +79,7 @@ sweepRuntime(RuntimeKind rk, unsigned rt_index)
         results[i] = runFaultedExperiment(kWorkloads[w], rk, opt);
     });
     std::uint64_t entries = 0;
-    for (const FaultRunResult &r : results) {
+    for (const ExperimentResult &r : results) {
         ASSERT_FALSE(r.timedOut) << r.report.message;
         ASSERT_TRUE(r.report.ok) << r.report.message;
         EXPECT_GT(r.commits, 0u) << r.context;
@@ -92,7 +92,7 @@ sweepRuntime(RuntimeKind rk, unsigned rt_index)
         // the programmer-requested irrevocability API instead.
         FaultRunOptions opt = adversarialOptions(8900 + rt_index);
         opt.irrevocableEveryN = 4;
-        const FaultRunResult r = runFaultedExperiment(
+        const ExperimentResult r = runFaultedExperiment(
             WorkloadKind::HashTable, rk, opt);
         ASSERT_FALSE(r.timedOut) << r.report.message;
         ASSERT_TRUE(r.report.ok) << r.report.message;
@@ -138,8 +138,8 @@ livelockProneOptions()
     opt.threads = 4;
     opt.totalOps = 48;
     opt.machine.cmPolicy = CmPolicy::Aggressive;
-    opt.fault.seed = 4321;
-    opt.fault.schedWindowCycles = 64;
+    opt.machine.fault.seed = 4321;
+    opt.machine.fault.schedWindowCycles = 64;
     opt.machine.progress.backoffShiftCap = 0;
     return opt;
 }
@@ -156,7 +156,7 @@ TEST(ForwardProgress, EscalationRescuesAggressiveLivelock)
     good_opt.machine.progress.escalationThreshold = 4;
     good_opt.machine.progress.watchdogCycles = 2'000'000;
     good_opt.maxCycles = 200'000'000;
-    const FaultRunResult good = runFaultedExperiment(
+    const ExperimentResult good = runFaultedExperiment(
         WorkloadKind::RandomGraph, RuntimeKind::FlexTmEager,
         good_opt);
     ASSERT_FALSE(good.timedOut) << good.report.message;
@@ -168,7 +168,7 @@ TEST(ForwardProgress, EscalationRescuesAggressiveLivelock)
     bad_opt.machine.progress.karmaAbortBoost = 0;
     bad_opt.machine.progress.watchdogCycles = 0;
     bad_opt.maxCycles = 10 * good.cycles;
-    const FaultRunResult bad = runFaultedExperiment(
+    const ExperimentResult bad = runFaultedExperiment(
         WorkloadKind::RandomGraph, RuntimeKind::FlexTmEager,
         bad_opt);
     EXPECT_TRUE(bad.timedOut)
@@ -186,7 +186,7 @@ TEST(ForwardProgress, WatchdogAloneRescuesLivelock)
     opt.machine.progress.karmaAbortBoost = 0;
     opt.machine.progress.watchdogCycles = 100'000;
     opt.maxCycles = 400'000'000;
-    const FaultRunResult r = runFaultedExperiment(
+    const ExperimentResult r = runFaultedExperiment(
         WorkloadKind::RandomGraph, RuntimeKind::FlexTmEager, opt);
     ASSERT_FALSE(r.timedOut) << r.report.message;
     ASSERT_TRUE(r.report.ok) << r.report.message;

@@ -262,7 +262,7 @@ TEST(HytmFaultSweep, FiftyFourSeedsSerializable)
     };
     constexpr unsigned seedsPerCell = 18;
     const std::size_t cells = std::size(workloads) * seedsPerCell;
-    std::vector<FaultRunResult> results(cells);
+    std::vector<ExperimentResult> results(cells);
     parallelFor(cells, defaultJobs(), [&](std::size_t i) {
         FaultRunOptions opt;
         opt.seed = 9000 + i;
@@ -273,7 +273,7 @@ TEST(HytmFaultSweep, FiftyFourSeedsSerializable)
                                           RuntimeKind::HyTm, opt);
     });
     std::uint64_t fired = 0;
-    for (const FaultRunResult &r : results) {
+    for (const ExperimentResult &r : results) {
         ASSERT_TRUE(r.report.ok) << r.report.message;
         EXPECT_FALSE(r.timedOut) << r.context;
         EXPECT_GT(r.commits, 0u) << r.context;

@@ -276,7 +276,7 @@ TEST(OracleTeeth, SweepCatchesSeededBug)
         // Structural verify may panic on the corrupted structure
         // before the oracle can report; keep it out of teeth runs.
         opt.runVerify = false;
-        FaultRunResult r = runFaultedExperiment(
+        ExperimentResult r = runFaultedExperiment(
             WorkloadKind::HashTable, RuntimeKind::FlexTmLazy, opt);
         if (!r.report.ok) {
             EXPECT_NE(r.report.message.find(

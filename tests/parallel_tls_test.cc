@@ -83,7 +83,7 @@ TEST(ParallelTls, BackToBackSweepsReplayExactly)
             opt.threads = 2;
             opt.totalOps = 24;
             opt.quiet = true;
-            FaultRunResult r = runFaultedExperiment(
+            ExperimentResult r = runFaultedExperiment(
                 WorkloadKind::HashTable, RuntimeKind::Tl2, opt);
             out[i] = Cell{r.commits, r.aborts, r.report.checkedOps,
                           r.report.ok};

@@ -163,7 +163,7 @@ TEST(TraceTest, OracleEventsTracedEndToEnd)
     opt.seed = 31;
     opt.threads = 2;
     opt.totalOps = 24;
-    FaultRunResult r = runFaultedExperiment(
+    ExperimentResult r = runFaultedExperiment(
         WorkloadKind::HashTable, RuntimeKind::FlexTmLazy, opt);
     EXPECT_TRUE(r.report.ok) << r.report.message;
     EXPECT_GE(cap.count("oracle:"), 1u);
