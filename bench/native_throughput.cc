@@ -30,6 +30,7 @@
 #include <string>
 
 #include "bench/native_window.hh"
+#include "sim/env_util.hh"
 
 namespace
 {
@@ -59,14 +60,24 @@ report(const char *name, double ops, const NativeMix &p)
                 p.theta, p.words);
 }
 
-std::uint64_t
-argNum(int argc, char **argv, int &i)
+/** The value after flag argv[i]; advances @p i past it. */
+const char *
+argValue(int argc, char **argv, int &i)
 {
     if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", argv[i]);
         std::exit(2);
     }
-    return std::strtoull(argv[++i], nullptr, 10);
+    return argv[++i];
+}
+
+/** argValue parsed in full as an integer in [@p lo, @p hi]; anything
+ *  else is fatal. */
+std::uint64_t
+argNum(int argc, char **argv, int &i, std::uint64_t lo, std::uint64_t hi)
+{
+    const char *flag = argv[i];
+    return env::parseU64(flag, argValue(argc, argv, i), lo, hi);
 }
 
 } // anonymous namespace
@@ -79,30 +90,37 @@ main(int argc, char **argv)
     std::string backend = "both";
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--backend" && i + 1 < argc) {
-            backend = argv[++i];
-        } else if (a == "--threads") {
-            p.threads = static_cast<unsigned>(argNum(argc, argv, i));
-        } else if (a == "--words") {
-            p.words =
-                static_cast<std::uint32_t>(argNum(argc, argv, i));
-        } else if (a == "--ops") {
-            p.opsPerTxn =
-                static_cast<unsigned>(argNum(argc, argv, i));
-        } else if (a == "--write-pct") {
-            p.writePct = static_cast<unsigned>(argNum(argc, argv, i));
-        } else if (a == "--theta") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--theta needs a value\n");
+        if (a == "--backend") {
+            backend = argValue(argc, argv, i);
+            if (backend != "tl2" && backend != "gl" && backend != "both") {
+                std::fprintf(stderr,
+                             "unknown --backend %s (want tl2, gl or "
+                             "both)\n",
+                             backend.c_str());
                 return 2;
             }
-            p.theta = std::strtod(argv[++i], nullptr);
+        } else if (a == "--threads") {
+            p.threads = static_cast<unsigned>(argNum(argc, argv, i, 1, 64));
+        } else if (a == "--words") {
+            p.words = static_cast<std::uint32_t>(
+                argNum(argc, argv, i, 1, 1u << 24));
+        } else if (a == "--ops") {
+            p.opsPerTxn =
+                static_cast<unsigned>(argNum(argc, argv, i, 1, 64));
+        } else if (a == "--write-pct") {
+            p.writePct =
+                static_cast<unsigned>(argNum(argc, argv, i, 0, 100));
+        } else if (a == "--theta") {
+            p.theta = env::parseF64("--theta", argValue(argc, argv, i),
+                                    0.0, 10.0);
         } else if (a == "--millis") {
-            p.millis = static_cast<unsigned>(argNum(argc, argv, i));
+            p.millis =
+                static_cast<unsigned>(argNum(argc, argv, i, 1, 600000));
         } else if (a == "--rounds") {
-            p.rounds = static_cast<unsigned>(argNum(argc, argv, i));
+            p.rounds =
+                static_cast<unsigned>(argNum(argc, argv, i, 1, 1000));
         } else if (a == "--seed") {
-            p.seed = argNum(argc, argv, i);
+            p.seed = argNum(argc, argv, i, 0, UINT64_MAX);
         } else if (a == "--grade") {
             grade = true;
         } else {

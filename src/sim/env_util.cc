@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -43,6 +44,24 @@ parseU64(const char *name, const char *text, std::uint64_t lo,
               static_cast<unsigned long long>(lo),
               static_cast<unsigned long long>(hi));
     return static_cast<std::uint64_t>(v);
+}
+
+double
+parseF64(const char *name, const char *text, double lo, double hi)
+{
+    if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text)))
+        fatal("%s=\"%s\" is not a valid number", name, text);
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0')
+        fatal("%s=\"%s\" is not a valid number "
+              "(trailing junk after \"%.*s\")",
+              name, text, static_cast<int>(end - text), text);
+    if (errno == ERANGE || !std::isfinite(v) || v < lo || v > hi)
+        fatal("%s=\"%s\" is out of range (want a number in [%g, %g])",
+              name, text, lo, hi);
+    return v;
 }
 
 std::uint64_t

@@ -37,6 +37,12 @@ std::uint64_t parseU64(const char *name, const char *text,
                        std::uint64_t lo, std::uint64_t hi,
                        int base = 10);
 
+/** Parse @p text as a finite number in [@p lo, @p hi], as strictly
+ *  as parseU64: fatal()s on an empty string, trailing junk, NaN,
+ *  infinity, or an out-of-range value. */
+double parseF64(const char *name, const char *text, double lo,
+                double hi);
+
 /** Unsigned integer knob: fallback when unset/empty, else a strict
  *  full-string parse bounded to [@p lo, @p hi]. */
 std::uint64_t u64Or(const char *name, std::uint64_t fallback,

@@ -76,6 +76,21 @@ TEST(EnvUtil, ParseU64RejectsGarbage)
     EXPECT_DEATH(env::parseU64("X", "101", 0, 100), "X");
 }
 
+TEST(EnvUtil, ParseF64AcceptsCleanNumbersAndRejectsGarbage)
+{
+    EXPECT_EQ(env::parseF64("X", "0", 0, 10), 0.0);
+    EXPECT_EQ(env::parseF64("X", "0.75", 0, 10), 0.75);
+    EXPECT_EQ(env::parseF64("X", "1e1", 0, 10), 10.0);
+    EXPECT_DEATH(env::parseF64("X", "", 0, 10), "X");
+    EXPECT_DEATH(env::parseF64("X", "x", 0, 10), "X");
+    EXPECT_DEATH(env::parseF64("X", "0.5x", 0, 10), "X");
+    EXPECT_DEATH(env::parseF64("X", " 1", 0, 10), "X");
+    EXPECT_DEATH(env::parseF64("X", "nan", 0, 10), "X");
+    EXPECT_DEATH(env::parseF64("X", "inf", 0, 1e300), "X");
+    EXPECT_DEATH(env::parseF64("X", "-0.5", 0, 10), "X");
+    EXPECT_DEATH(env::parseF64("X", "10.5", 0, 10), "X");
+}
+
 TEST(EnvUtil, U64OrFallsBackOnlyWhenUnset)
 {
     ScopedEnv e("FLEXTM_TEST_KNOB", nullptr);
@@ -184,7 +199,7 @@ TEST(EnvSiteDeath, FaultSeed)
 
 TEST(EnvSiteDeath, DumpByte)
 {
-    // fault_harness routes FLEXTM_DUMP_BYTE through parseU64.
+    // The oracle phase routes FLEXTM_DUMP_BYTE through parseU64.
     EXPECT_DEATH(env::parseU64("FLEXTM_DUMP_BYTE", "0x12junk", 0,
                                UINT64_MAX, 0),
                  "FLEXTM_DUMP_BYTE");
