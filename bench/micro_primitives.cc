@@ -3,7 +3,8 @@
  * Microbenchmarks (google-benchmark) of the FlexTM hardware
  * primitives: Bloom signatures, CST registers, the TMESI protocol
  * paths (hit / miss / upgrade / forwarded conflict), CAS-Commit, and
- * the overflow-table spill/refill path.
+ * the overflow-table spill/refill path, plus the simulator's own
+ * fiber handover.
  *
  * Each protocol benchmark also reports the *simulated* latency of
  * the operation via the `sim_cycles` counter - these are the
@@ -12,9 +13,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
+
 #include "core/area_model.hh"
 #include "runtime/machine.hh"
 #include "sim/rng.hh"
+#include "sim/thread.hh"
 
 using namespace flextm;
 
@@ -261,6 +266,41 @@ BM_ZipfSample(benchmark::State &state)
         benchmark::DoNotOptimize(zipf.sample(rng));
 }
 BENCHMARK(BM_ZipfSample);
+
+/**
+ * Scheduler layer: two simulated threads alternate `advance(1);
+ * yield()`, so every yield leaves the run-slice fast path and hands
+ * the host CPU to the other fiber (fiber -> scheduler -> fiber).
+ * `ns_per_handover` times run() alone; spawning the fibers (stack
+ * allocation) stays outside the clock.
+ */
+void
+BM_FiberHandover(benchmark::State &state)
+{
+    const auto rounds = static_cast<std::uint64_t>(state.range(0));
+    std::uint64_t handovers = 0;
+    std::chrono::nanoseconds inRun{0};
+    for (auto _ : state) {
+        Scheduler s;
+        for (CoreId c = 0; c < 2; ++c) {
+            s.spawn(c, [&s, rounds] {
+                for (std::uint64_t i = 0; i < rounds; ++i) {
+                    s.advance(1);
+                    s.yield();
+                }
+            });
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        s.run();
+        inRun += std::chrono::steady_clock::now() - t0;
+        benchmark::DoNotOptimize(s.maxClock());
+        handovers += 2 * rounds;
+    }
+    state.counters["ns_per_handover"] =
+        static_cast<double>(inRun.count()) /
+        static_cast<double>(handovers);
+}
+BENCHMARK(BM_FiberHandover)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 } // anonymous namespace
 

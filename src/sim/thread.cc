@@ -1,14 +1,16 @@
 #include "sim/thread.hh"
 
+#include <cstdint>
 #include <exception>
+#include <new>
 
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/progress.hh"
 
-// ucontext fibers run on heap-allocated stacks that AddressSanitizer
-// knows nothing about: without explicit fiber-switch annotations its
-// shadow poisoning desynchronizes across swapcontext and it reports
+// Fibers run on heap-allocated stacks that AddressSanitizer knows
+// nothing about: without explicit fiber-switch annotations its shadow
+// poisoning desynchronizes across a stack switch and it reports
 // spurious stack-use-after-scope on perfectly valid frames.  Announce
 // every switch via the sanitizer fiber API when ASan is enabled.
 #if defined(__SANITIZE_ADDRESS__)
@@ -19,8 +21,63 @@
 #endif
 #endif
 
+// ThreadSanitizer keeps one shadow call stack and one vector clock per
+// context; each fiber gets its own, and every switch synchronizes the
+// two sides (the fibers of one host thread never run concurrently).
+#if defined(__SANITIZE_THREAD__)
+#define FLEXTM_TSAN_FIBERS
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FLEXTM_TSAN_FIBERS
+#endif
+#endif
+
 #ifdef FLEXTM_ASAN_FIBERS
 #include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef FLEXTM_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
+#if defined(__x86_64__)
+// The x86-64 SysV context switch: push the callee-saved registers and
+// the MXCSR / x87 control words (callee-saved under the ABI) on the
+// outgoing stack, store its stack pointer to *save, load `load` as
+// the stack pointer and pop the same frame from there.  Unlike glibc's
+// swapcontext it saves no other FP state and makes no sigprocmask
+// syscall; nothing in the simulator changes the signal mask.
+// .globl + .hidden: under LTO a file-local label is invisible across
+// partitions, while hidden keeps the symbol out of the dynamic table.
+extern "C" void flextm_fiber_switch(void **save, void *load);
+asm(".pushsection .text\n"
+    ".globl flextm_fiber_switch\n"
+    ".hidden flextm_fiber_switch\n"
+    ".type flextm_fiber_switch, @function\n"
+    ".p2align 4\n"
+    "flextm_fiber_switch:\n"
+    "    pushq %rbp\n"
+    "    pushq %rbx\n"
+    "    pushq %r12\n"
+    "    pushq %r13\n"
+    "    pushq %r14\n"
+    "    pushq %r15\n"
+    "    subq $8, %rsp\n"
+    "    stmxcsr (%rsp)\n"
+    "    fnstcw 4(%rsp)\n"
+    "    movq %rsp, (%rdi)\n"
+    "    movq %rsi, %rsp\n"
+    "    ldmxcsr (%rsp)\n"
+    "    fldcw 4(%rsp)\n"
+    "    addq $8, %rsp\n"
+    "    popq %r15\n"
+    "    popq %r14\n"
+    "    popq %r13\n"
+    "    popq %r12\n"
+    "    popq %rbx\n"
+    "    popq %rbp\n"
+    "    ret\n"
+    ".size flextm_fiber_switch, .-flextm_fiber_switch\n"
+    ".popsection\n");
 #endif
 
 namespace flextm
@@ -29,14 +86,82 @@ namespace flextm
 namespace
 {
 
+#if defined(__x86_64__)
+
+/** What flextm_fiber_switch pops from a stack, lowest address first,
+ *  plus the return address of the function it returns into. */
+struct SwitchFrame
+{
+    std::uint32_t mxcsr;
+    std::uint16_t x87Control;
+    std::uint16_t pad;
+    std::uint64_t r15, r14, r13, r12, rbx, rbp;
+    void (*resume)();
+    /** Zero, so unwinders and backtraces stop in the entry function. */
+    std::uint64_t entryReturn;
+};
+static_assert(sizeof(SwitchFrame) == 72);
+
 /**
- * Tell ASan we are about to switch to the fiber stack [bottom, size).
- * @p save receives the outgoing context's fake-stack handle; pass
- * nullptr when the outgoing fiber will never run again so its fake
- * frames are freed.
+ * Build the first switch frame at the top of @p stack, so the first
+ * switch into @p ctx enters @p entry with zeroed callee-saved
+ * registers, this context's FP control words (what getcontext would
+ * have captured), and the ABI's call alignment: (rsp + 8) % 16 == 0.
+ */
+void
+fiberInit(FiberContext &ctx, std::uint8_t *stack, std::size_t bytes,
+          void (*entry)())
+{
+    const auto top = reinterpret_cast<std::uintptr_t>(stack + bytes) &
+                     ~std::uintptr_t{15};
+    auto *f = new (reinterpret_cast<void *>(top - sizeof(SwitchFrame)))
+        SwitchFrame{};
+    f->resume = entry;
+    asm volatile("stmxcsr %0\n\tfnstcw %1"
+                 : "=m"(f->mxcsr), "=m"(f->x87Control));
+    ctx = f;
+}
+
+/** Save the running context into @p from and resume @p to. */
+inline void
+fiberSwitch(FiberContext &from, const FiberContext &to)
+{
+    flextm_fiber_switch(&from, to);
+}
+
+#else // ucontext fallback for targets without a hand-written switch
+
+void
+fiberInit(FiberContext &ctx, std::uint8_t *stack, std::size_t bytes,
+          void (*entry)())
+{
+    if (getcontext(&ctx) != 0)
+        panic("getcontext failed");
+    ctx.uc_stack.ss_sp = stack;
+    ctx.uc_stack.ss_size = bytes;
+    ctx.uc_link = nullptr;
+    makecontext(&ctx, entry, 0);
+}
+
+inline void
+fiberSwitch(FiberContext &from, const FiberContext &to)
+{
+    if (swapcontext(&from, &to) != 0)
+        panic("swapcontext failed");
+}
+
+#endif
+
+/**
+ * Tell the sanitizers we are about to switch to the fiber whose stack
+ * is [bottom, size) and whose TSan context is @p tsanFiber.  @p save
+ * receives the outgoing context's ASan fake-stack handle; pass nullptr
+ * when the outgoing fiber will never run again so its fake frames are
+ * freed.
  */
 inline void
-fiberSwitchStart(void **save, const void *bottom, std::size_t size)
+fiberSwitchStart(void **save, const void *bottom, std::size_t size,
+                 void *tsanFiber)
 {
 #ifdef FLEXTM_ASAN_FIBERS
     __sanitizer_start_switch_fiber(save, bottom, size);
@@ -44,6 +169,11 @@ fiberSwitchStart(void **save, const void *bottom, std::size_t size)
     (void)save;
     (void)bottom;
     (void)size;
+#endif
+#ifdef FLEXTM_TSAN_FIBERS
+    __tsan_switch_to_fiber(tsanFiber, 0);
+#else
+    (void)tsanFiber;
 #endif
 }
 
@@ -69,7 +199,7 @@ fiberSwitchFinish(void *save, const void **fromBottom,
  * The scheduler whose threads are currently being dispatched.  Only
  * one scheduler runs at a time on a host thread (the simulation is
  * single-host-threaded), so a thread-local suffices to let the
- * makecontext trampoline find its way home.
+ * trampoline find its way home.
  */
 thread_local Scheduler *activeSched = nullptr;
 
@@ -80,12 +210,17 @@ SimThread::SimThread(Scheduler &sched, ThreadId id, CoreId core,
     : sched_(sched), id_(id), core_(core), body_(std::move(body)),
       stack_(new std::uint8_t[stackBytes]), stackBytes_(stackBytes)
 {
-    if (getcontext(&ctx_) != 0)
-        panic("getcontext failed");
-    ctx_.uc_stack.ss_sp = stack_.get();
-    ctx_.uc_stack.ss_size = stackBytes_;
-    ctx_.uc_link = nullptr;
-    makecontext(&ctx_, &SimThread::trampoline, 0);
+    fiberInit(ctx_, stack_.get(), stackBytes_, &SimThread::trampoline);
+#ifdef FLEXTM_TSAN_FIBERS
+    tsanFiber_ = __tsan_create_fiber(0);
+#endif
+}
+
+SimThread::~SimThread()
+{
+#ifdef FLEXTM_TSAN_FIBERS
+    __tsan_destroy_fiber(tsanFiber_);
+#endif
 }
 
 void
@@ -296,9 +431,8 @@ Scheduler::switchTo(SimThread &t)
     Scheduler *prev = activeSched;
     activeSched = this;
     fiberSwitchStart(&asanMainFakeStack_, t.stack_.get(),
-                     t.stackBytes_);
-    if (swapcontext(&mainCtx_, &t.ctx_) != 0)
-        panic("swapcontext into thread %u failed", t.id());
+                     t.stackBytes_, t.tsanFiber_);
+    fiberSwitch(mainCtx_, t.ctx_);
     fiberSwitchFinish(asanMainFakeStack_, nullptr, nullptr);
     activeSched = prev;
     current_ = nullptr;
@@ -309,6 +443,9 @@ Scheduler::run()
 {
     sim_assert(current_ == nullptr, "run() is not reentrant");
     sliceLeft_ = kWatchdogSlice;
+#ifdef FLEXTM_TSAN_FIBERS
+    tsanMainFiber_ = __tsan_get_current_fiber();
+#endif
     for (;;) {
         SimThread *next = pending_;
         pending_ = nullptr;
@@ -368,9 +505,8 @@ Scheduler::yield()
         }
     }
     fiberSwitchStart(&self.asanFakeStack_, asanMainStackBottom_,
-                     asanMainStackSize_);
-    if (swapcontext(&self.ctx_, &mainCtx_) != 0)
-        panic("swapcontext to scheduler failed");
+                     asanMainStackSize_, tsanMainFiber_);
+    fiberSwitch(self.ctx_, mainCtx_);
     fiberSwitchFinish(self.asanFakeStack_, &asanMainStackBottom_,
                       &asanMainStackSize_);
 }
@@ -409,9 +545,8 @@ Scheduler::threadExit()
     // nullptr save: this fiber never runs again, so ASan frees its
     // fake frames instead of keeping them poisoned.
     fiberSwitchStart(nullptr, asanMainStackBottom_,
-                     asanMainStackSize_);
-    if (swapcontext(&self.ctx_, &mainCtx_) != 0)
-        panic("swapcontext from finished thread failed");
+                     asanMainStackSize_, tsanMainFiber_);
+    fiberSwitch(self.ctx_, mainCtx_);
     panic("finished thread %u was rescheduled", self.id());
 }
 

@@ -2,12 +2,14 @@
  * @file
  * Cooperative simulated threads.
  *
- * Each simulated hardware/software thread is a ucontext coroutine with
- * its own stack and its own cycle clock.  A single host thread runs the
- * whole simulation, so execution is deterministic: the scheduler always
- * resumes the runnable thread with the smallest clock, and threads
- * yield after every memory operation, which serializes all protocol
- * actions in global simulated-time order.
+ * Each simulated hardware/software thread is a fiber (a stackful
+ * coroutine) with its own stack and its own cycle clock.  On x86-64 a
+ * fiber switch is a few instructions of SysV assembly in thread.cc;
+ * other targets fall back to ucontext at compile time.  A single host
+ * thread runs the whole simulation, so execution is deterministic:
+ * the scheduler always resumes the runnable thread with the smallest
+ * clock, and threads yield after every memory operation, which
+ * serializes all protocol actions in global simulated-time order.
  *
  * Dispatch is event-driven: runnable threads (minus the one currently
  * on a fiber) live in an indexed binary min-heap keyed by
@@ -21,7 +23,9 @@
 #ifndef FLEXTM_SIM_THREAD_HH
 #define FLEXTM_SIM_THREAD_HH
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -38,6 +42,15 @@ class FaultPlan;
 class ProgressManager;
 class Scheduler;
 
+/** A switched-out execution context.  On x86-64 it is the saved stack
+ *  pointer: the callee-saved registers and FP control words sit on the
+ *  context's own stack (see thread.cc). */
+#if defined(__x86_64__)
+using FiberContext = void *;
+#else
+using FiberContext = ucontext_t;
+#endif
+
 /** One simulated thread of execution. */
 class SimThread
 {
@@ -51,6 +64,7 @@ class SimThread
 
     SimThread(Scheduler &sched, ThreadId id, CoreId core,
               std::function<void()> body, std::size_t stackBytes);
+    ~SimThread();
 
     ThreadId id() const { return id_; }
     CoreId core() const { return core_; }
@@ -77,11 +91,11 @@ class SimThread
     State state_ = State::Runnable;
     Cycles clock_ = 0;
     std::function<void()> body_;
-    ucontext_t ctx_;
+    FiberContext ctx_{};
     /** Fiber stack, deliberately *not* zero-initialized: a 512 KiB
      *  memset per spawned thread dominates machine construction in
-     *  big sweeps and the ucontext machinery never reads below the
-     *  frames it writes. */
+     *  big sweeps, and a fiber only reads stack it wrote (its first
+     *  switch frame is written at spawn). */
     std::unique_ptr<std::uint8_t[]> stack_;
     std::size_t stackBytes_;
     /** Index of this thread in Scheduler::ready_ (kNoHeapSlot when
@@ -90,6 +104,8 @@ class SimThread
     /** ASan fake-stack handle while this fiber is switched out
      *  (sanitizer fiber annotations; unused in plain builds). */
     void *asanFakeStack_ = nullptr;
+    /** TSan's context for this fiber (unused without TSan). */
+    void *tsanFiber_ = nullptr;
 };
 
 /**
@@ -191,14 +207,17 @@ class Scheduler
     Cycles maxSeen_ = 0;
     unsigned sliceLeft_ = kWatchdogSlice;
     std::size_t stackBytes_ = kDefaultStackBytes;
-    ucontext_t mainCtx_;
-    /** ASan fiber bookkeeping for the scheduler's own (host) stack:
-     *  fake-stack handle while a fiber runs, and the host stack bounds
-     *  (learned on the first switch) so fibers can announce switches
-     *  back to it.  Unused in plain builds. */
+    /** The context run() dispatches from, saved while a fiber runs. */
+    FiberContext mainCtx_{};
+    /** Sanitizer fiber bookkeeping for the scheduler's own (host)
+     *  stack: ASan's fake-stack handle while a fiber runs, the host
+     *  stack bounds (learned on the first switch) so fibers can
+     *  announce switches back to it, and TSan's context for run()'s
+     *  caller.  Unused in plain builds. */
     void *asanMainFakeStack_ = nullptr;
     const void *asanMainStackBottom_ = nullptr;
     std::size_t asanMainStackSize_ = 0;
+    void *tsanMainFiber_ = nullptr;
 
     /** (clock, id) lexicographic order: ties go to the lower thread
      *  id, i.e. spawn order. */

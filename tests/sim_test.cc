@@ -1,13 +1,15 @@
 /**
  * @file
  * Simulation-kernel unit tests: scheduler ordering and fairness,
- * barriers, the ready-heap dispatch contract, the RNG/Zipf sampler,
- * statistics, and the simulated memory allocator.
+ * barriers, the ready-heap dispatch contract, the fiber-switch
+ * contract, the RNG/Zipf sampler, statistics, and the simulated memory
+ * allocator.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -266,6 +268,154 @@ TEST(SchedulerEquiv, SoleRunnableNeverDraws)
     });
     s.run();
     EXPECT_EQ(plan.pickCalls(), 0u);
+}
+
+// ---------------------------------------------------------------
+// Fiber-switch contract: what a fiber may keep in registers and FP
+// control state across a yield, and how a fresh fiber is entered.
+// ---------------------------------------------------------------
+
+#if defined(__x86_64__)
+
+/** The SSE and x87 control words: the FP state the x86-64 SysV ABI
+ *  makes callee-saved. */
+struct FpControl
+{
+    std::uint32_t mxcsr;
+    std::uint16_t x87;
+    bool operator==(const FpControl &) const = default;
+};
+
+FpControl
+readFpControl()
+{
+    FpControl c{};
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(c.mxcsr), "=m"(c.x87));
+    return c;
+}
+
+void
+writeFpControl(const FpControl &c)
+{
+    asm volatile("ldmxcsr %0\n\tfldcw %1" : : "m"(c.mxcsr), "m"(c.x87));
+}
+
+/** A fiber's rounding mode and x87 precision are its own: it finds
+ *  them again after a yield, while the other fiber and the host keep
+ *  theirs, even once the changed fiber has exited. */
+TEST(FiberSwitchTest, FpControlStateStaysPerFiber)
+{
+    const FpControl host = readFpControl();
+    FpControl changed = host;
+    changed.mxcsr |= 0x6000;                       // RC: toward zero
+    changed.x87 = (host.x87 & ~0x0300u) | 0x0200u; // PC: 53-bit
+    ASSERT_FALSE(changed == host);
+
+    Scheduler s;
+    FpControl otherSaw{}, resumedWith{};
+    s.spawn(0, [&] {
+        writeFpControl(changed);
+        s.advance(1);
+        s.yield();  // thread 1 is still at clock 0: hand over
+        resumedWith = readFpControl();
+    });
+    s.spawn(1, [&] {
+        otherSaw = readFpControl();
+        s.advance(2);
+        s.yield();
+    });
+    s.run();
+    const FpControl hostAfter = readFpControl();
+    writeFpControl(host);  // keep a broken switch out of later tests
+    EXPECT_TRUE(otherSaw == host);
+    EXPECT_TRUE(resumedWith == changed);
+    EXPECT_TRUE(hostAfter == host);
+}
+
+#endif // __x86_64__
+
+/** A function that sets up a frame pointer has a 16-byte aligned
+ *  frame address exactly when its caller kept the ABI's stack
+ *  alignment. */
+[[gnu::noinline]] std::uintptr_t
+frameAddress()
+{
+    return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+}
+
+/** A fresh fiber is entered with the ABI's call alignment and keeps it
+ *  across a switch out and back in. */
+TEST(FiberSwitchTest, FreshFiberStackIsAligned)
+{
+    Scheduler s;
+    std::vector<std::uintptr_t> frames;
+    for (CoreId c = 0; c < 3; ++c) {
+        s.spawn(c, [&] {
+            frames.push_back(frameAddress());
+            s.advance(1);
+            s.yield();
+            frames.push_back(frameAddress());
+        });
+    }
+    s.run();
+    ASSERT_EQ(frames.size(), 6u);
+    for (std::uintptr_t f : frames)
+        EXPECT_EQ(f % 16, 0u) << std::hex << f;
+}
+
+/** Keeps twelve integers live across @p rounds yields of @p s (no
+ *  yields when @p s is null).  That is more than the six callee-saved
+ *  registers, so both the registers and the spill slots must come back
+ *  intact on every resume. */
+[[gnu::noinline]] std::uint64_t
+churnAcrossYields(Scheduler *s, std::uint64_t seed, unsigned rounds)
+{
+    std::uint64_t a = seed, b = seed * 3 + 1, c = seed * 5 + 2,
+                  d = seed * 7 + 3, e = seed * 11 + 4, f = seed * 13 + 5,
+                  g = seed * 17 + 6, h = seed * 19 + 7, i = seed * 23 + 8,
+                  j = seed * 29 + 9, k = seed * 31 + 10, l = seed * 37 + 11;
+    for (unsigned r = 0; r < rounds; ++r) {
+        if (s) {
+            s->advance(1);
+            s->yield();
+        }
+        a += r;
+        b ^= a;
+        c += b;
+        d ^= c;
+        e += d;
+        f ^= e;
+        g += f;
+        h ^= g;
+        i += h;
+        j ^= i;
+        k += j;
+        l ^= k;
+        a = (a << 7 | a >> 57) + l;
+    }
+    return a + b + c + d + e + f + g + h + i + j + k + l;
+}
+
+/** Four fibers interleave yield by yield, each holding its own twelve
+ *  values; every result must match a run without switches. */
+TEST(FiberSwitchTest, CalleeSavedRegistersSurviveSwitches)
+{
+    constexpr unsigned kFibers = 4;
+    constexpr unsigned kRounds = 1000;
+    Scheduler s;
+    std::uint64_t got[kFibers] = {};
+    for (CoreId c = 0; c < kFibers; ++c) {
+        s.spawn(c, [&s, &got, c] {
+            got[c] = churnAcrossYields(&s, 1000 + c * 7919, kRounds);
+        });
+    }
+    s.run();
+    EXPECT_EQ(s.maxClock(), kRounds);
+    for (unsigned c = 0; c < kFibers; ++c) {
+        EXPECT_EQ(got[c], churnAcrossYields(nullptr, 1000 + c * 7919,
+                                            kRounds))
+            << "fiber " << c;
+    }
 }
 
 TEST(RngTest, DeterministicPerSeed)
