@@ -14,6 +14,9 @@
  *                     [--theta F] [--millis N] [--rounds N]
  *                     [--seed N] [--grade]
  *
+ * Each TL2 line is followed by its best window's tm_stats counters:
+ * commits, aborts by cause and back-off pauses.
+ *
  * --grade runs the acceptance mix (4 threads, read-mostly Zipfian)
  * on both backends, best-of-rounds, and exits nonzero unless TL2
  * beats the global lock.  The global lock serializes whole
@@ -39,14 +42,23 @@ using namespace flextm;
 using bench::NativeMix;
 using native::Backend;
 
+/** Best ops/sec over p.rounds windows; a non-null @p stats receives
+ *  the best window's counters. */
 double
-bestOpsPerSec(Backend backend, const NativeMix &p)
+bestOpsPerSec(Backend backend, const NativeMix &p,
+              native::Stats *stats = nullptr)
 {
     double best = 0.0;
     for (unsigned r = 0; r < p.rounds; ++r) {
         NativeMix round = p;
         round.seed = p.seed + r;
-        best = std::max(best, bench::measureWindow(backend, round));
+        native::Stats st;
+        const double ops = bench::measureWindow(backend, round, &st);
+        if (ops > best) {
+            best = ops;
+            if (stats != nullptr)
+                *stats = st;
+        }
     }
     return best;
 }
@@ -58,6 +70,23 @@ report(const char *name, double ops, const NativeMix &p)
                 "%u%% writes, theta=%.2f, %u words)\n",
                 name, ops, p.threads, p.opsPerTxn, p.writePct,
                 p.theta, p.words);
+}
+
+/** The TL2 window's counters, printed under its ops/s line. */
+void
+reportStats(const native::Stats &s)
+{
+    std::printf("%-12s commits %llu, aborts %llu (read: locked %llu, "
+                "too new %llu, changed %llu; commit: lock busy %llu, "
+                "validation %llu), back-off pauses %llu\n",
+                "", static_cast<unsigned long long>(s.commits),
+                static_cast<unsigned long long>(s.aborts()),
+                static_cast<unsigned long long>(s.readLocked),
+                static_cast<unsigned long long>(s.readTooNew),
+                static_cast<unsigned long long>(s.readChanged),
+                static_cast<unsigned long long>(s.commitLockBusy),
+                static_cast<unsigned long long>(s.commitValidation),
+                static_cast<unsigned long long>(s.backoffPauses));
 }
 
 /** The value after flag argv[i]; advances @p i past it. */
@@ -134,6 +163,7 @@ main(int argc, char **argv)
         // best-of-rounds on both sides with the windows interleaved.
         const bench::NativeBest best = bench::interleavedBest(p);
         report("tl2", best.tl2, p);
+        reportStats(best.tl2Stats);
         report("global-lock", best.globalLock, p);
         if (best.tl2 > best.globalLock) {
             std::printf("GRADE PASS: tl2/gl = %.2fx\n",
@@ -146,8 +176,11 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (backend == "tl2" || backend == "both")
-        report("tl2", bestOpsPerSec(Backend::Tl2, p), p);
+    if (backend == "tl2" || backend == "both") {
+        native::Stats stats;
+        report("tl2", bestOpsPerSec(Backend::Tl2, p, &stats), p);
+        reportStats(stats);
+    }
     if (backend == "gl" || backend == "both")
         report("global-lock", bestOpsPerSec(Backend::GlobalLock, p),
                p);

@@ -44,9 +44,11 @@ struct NativeMix
  *  transactions back to back until the stop flag flips.  The key/op
  *  streams are pre-generated (YCSB-style) so the window times the
  *  library, not the Zipf sampler; each thread cycles through its
- *  private stream. */
+ *  private stream.  A non-null @p stats receives the region's
+ *  tm_stats counters for the window. */
 inline double
-measureWindow(native::Backend backend, const NativeMix &p)
+measureWindow(native::Backend backend, const NativeMix &p,
+              native::Stats *stats = nullptr)
 {
     native::shared_t sh = native::tm_create_with(
         std::size_t{p.words} * 8, 8, backend);
@@ -122,17 +124,20 @@ measureWindow(native::Backend backend, const NativeMix &p)
     for (const std::uint64_t c : commits)
         total += c;
     const double secs = std::chrono::duration<double>(t1 - t0).count();
+    if (stats != nullptr)
+        *stats = native::tm_stats(sh);
     native::tm_destroy(sh);
     return secs <= 0.0 ? 0.0
                        : static_cast<double>(total) * p.opsPerTxn / secs;
 }
 
 /** Best ops/sec of each backend over p.rounds windows (round r uses
- *  seed p.seed + r). */
+ *  seed p.seed + r), and the best TL2 window's counters. */
 struct NativeBest
 {
     double tl2 = 0.0;
     double globalLock = 0.0;
+    native::Stats tl2Stats;
 };
 
 /** The graded comparison: the two backends' windows interleave round
@@ -145,8 +150,13 @@ interleavedBest(const NativeMix &p)
     for (unsigned r = 0; r < p.rounds; ++r) {
         NativeMix round = p;
         round.seed = p.seed + r;
-        best.tl2 = std::max(best.tl2,
-                            measureWindow(native::Backend::Tl2, round));
+        native::Stats st;
+        const double tl2 =
+            measureWindow(native::Backend::Tl2, round, &st);
+        if (tl2 > best.tl2) {
+            best.tl2 = tl2;
+            best.tl2Stats = st;
+        }
         best.globalLock = std::max(
             best.globalLock,
             measureWindow(native::Backend::GlobalLock, round));

@@ -1,5 +1,6 @@
 #include "native/tm.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +48,37 @@ stripeFor(std::uintptr_t a)
  */
 constexpr unsigned kYieldEvery = 64;
 constexpr unsigned kMaxWaitRounds = 1u << 14;
+
+/**
+ * Post-abort back-off: after k consecutive aborted attempts, the next
+ * tm_begin spins a uniform random number of pauses in
+ * [0, 2^min(k, kBackoffCap)), at most ~22 us (an x86 `pause` took
+ * ~21 ns on a 4-vCPU Xeon VM).  Retrying at once lets the same
+ * conflict recur; the randomized wait spreads the retries out.
+ */
+constexpr unsigned kBackoffCap = 10;
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#else
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
+/** xorshift64: the back-off's per-slot random stream. */
+std::uint64_t
+nextRandom(std::uint64_t &state)
+{
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+}
 
 /** Unique nonzero id per OS thread: the stripe lock-word owner. */
 std::uint64_t
@@ -162,13 +194,14 @@ struct NativeWorld
     {
         return tl2LockOwner(word) == selfId();
     }
-    void
+    bool
     lockWaitRound(std::atomic<std::uint64_t> *, unsigned tries)
     {
         if (tries >= kMaxWaitRounds)
-            throw TxAbort{AbortCause::CmSelf};
+            return false;
         if (tries % kYieldEvery == 0)
             std::this_thread::yield();
+        return true;
     }
     // Bookkeeping-cost hooks are simulator-only.
     void onBegin() {}
@@ -178,19 +211,45 @@ struct NativeWorld
     void onWriteLogged() {}
 };
 
+/** One thread's counters in one region (tm_stats).  Only the owning
+ *  thread writes them, so a relaxed load + store suffices; the
+ *  padding keeps each thread's writes on its own cache line. */
+struct alignas(64) Counters
+{
+    /** Indexed by Tl2Status: Ok counts commits, the rest aborts. */
+    std::atomic<std::uint64_t> outcomes[kNumTl2Statuses]{};
+    std::atomic<std::uint64_t> backoffPauses{0};
+};
+
+void
+bump(std::atomic<std::uint64_t> &c, std::uint64_t n = 1)
+{
+    c.store(c.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+}
+
 /** One transaction attempt's state, cached per (thread, region). */
 struct NativeTx
 {
     Region *region = nullptr;
+    /** The bound region's serial: the slot's cache key. */
+    std::uint64_t serial = 0;
+    /** This thread's block in the bound region (owned by it). */
+    Counters *counters = nullptr;
     bool readOnly = false;
     bool live = false;
+    /** Consecutive aborted attempts since the last commit. */
+    unsigned abortStreak = 0;
+    std::uint64_t rng = 0;  //!< back-off stream (nonzero)
     Tl2Algo<std::uintptr_t, std::atomic<std::uint64_t> *> algo;
     std::vector<AccessLog::Op> logOps;
-    std::uint64_t glTicket = 0;  //!< GlobalLock: ticket at begin
 };
 
 struct Region
 {
+    /** Unique per region for the process lifetime: a new region may
+     *  reuse a destroyed one's address, never its serial. */
+    std::uint64_t serial = 0;
     Backend backend;
     std::size_t align;
     std::size_t chunk;  //!< min(align, 8): one Tl2Algo word
@@ -214,6 +273,25 @@ struct Region
     std::vector<void *> segments;
 
     std::atomic<AccessLog *> log{nullptr};
+
+    /** One counter block per thread that began a transaction here,
+     *  keyed by selfId(); freed with the region. */
+    std::mutex countersLock;
+    std::vector<std::pair<std::uint64_t, std::unique_ptr<Counters>>>
+        counters;
+
+    /** The calling thread's counter block (created on first use). */
+    Counters &
+    countersForSelf()
+    {
+        std::lock_guard<std::mutex> g(countersLock);
+        for (auto &[owner, c] : counters) {
+            if (owner == selfId())
+                return *c;
+        }
+        counters.emplace_back(selfId(), std::make_unique<Counters>());
+        return *counters.back().second;
+    }
 };
 
 std::uint64_t
@@ -234,26 +312,66 @@ NativeWorld::lockFor(std::uintptr_t a)
     return &r.locks[stripeFor(a)];
 }
 
-/** The per-thread transaction-slot cache.  A slot outliving its
- *  region is harmless: tm_begin fully re-initializes it, and slots
- *  are keyed by region address only for reuse. */
+/** The per-thread transaction-slot cache, keyed by region serial.
+ *  A slot outliving its region is never used with it again: its
+ *  serial matches no later region (even one at the same address), so
+ *  its dangling region and counter pointers stay unread until the
+ *  slot is rebound. */
 NativeTx &
 txSlotFor(Region *r)
 {
     thread_local std::vector<std::unique_ptr<NativeTx>> slots;
     for (auto &s : slots) {
-        if (s->region == r)
+        if (s->serial == r->serial)
             return *s;
     }
+    NativeTx *t = nullptr;
     for (auto &s : slots) {
         if (!s->live) {
-            s->region = r;
-            return *s;
+            t = s.get();
+            break;
         }
     }
-    slots.push_back(std::make_unique<NativeTx>());
-    slots.back()->region = r;
-    return *slots.back();
+    if (t == nullptr) {
+        slots.push_back(std::make_unique<NativeTx>());
+        t = slots.back().get();
+        t->rng = selfId() * 0x9E3779B97F4A7C15ULL;
+    }
+    t->region = r;
+    t->serial = r->serial;
+    t->counters = &r->countersForSelf();
+    t->abortStreak = 0;
+    return *t;
+}
+
+/** Spin tm_begin's back-off for the slot's current abort streak. */
+void
+backOff(NativeTx &t)
+{
+    const unsigned k = std::min(t.abortStreak, kBackoffCap);
+    const std::uint64_t pauses =
+        nextRandom(t.rng) & ((std::uint64_t{1} << k) - 1);
+    for (std::uint64_t i = 0; i < pauses; ++i)
+        cpuRelax();
+    bump(t.counters->backoffPauses, pauses);
+}
+
+void
+countOutcome(NativeTx &t, Tl2Status s)
+{
+    bump(t.counters->outcomes[static_cast<unsigned>(s)]);
+}
+
+/** Finish a failed TL2 attempt: flash its sets, count the cause and
+ *  lengthen the next tm_begin's back-off.  The handle is dead. */
+void
+abortAttempt(NativeTx &t, Tl2Status why)
+{
+    t.algo.abortCleanup();
+    t.logOps.clear();
+    t.live = false;
+    ++t.abortStreak;
+    countOutcome(t, why);
 }
 
 Region *
@@ -328,7 +446,9 @@ tm_create_with(std::size_t size, std::size_t align, Backend backend)
         size % align != 0) {
         return invalid_shared;
     }
+    static std::atomic<std::uint64_t> nextSerial{1};
     auto r = std::make_unique<Region>();
+    r->serial = nextSerial.fetch_add(1, std::memory_order_relaxed);
     r->backend = backend;
     r->align = align;
     r->chunk = align < 8 ? align : 8;
@@ -389,6 +509,29 @@ tm_backend(shared_t shared)
     return asRegion(shared)->backend;
 }
 
+Stats
+tm_stats(shared_t shared)
+{
+    Region *r = asRegion(shared);
+    Stats st;
+    std::lock_guard<std::mutex> g(r->countersLock);
+    for (const auto &[owner, c] : r->counters) {
+        const auto n = [&c](Tl2Status s) {
+            return c->outcomes[static_cast<unsigned>(s)].load(
+                std::memory_order_relaxed);
+        };
+        st.commits += n(Tl2Status::Ok);
+        st.readLocked += n(Tl2Status::ReadLocked);
+        st.readTooNew += n(Tl2Status::ReadTooNew);
+        st.readChanged += n(Tl2Status::ReadChanged);
+        st.commitLockBusy += n(Tl2Status::CommitLockBusy);
+        st.commitValidation += n(Tl2Status::CommitValidation);
+        st.backoffPauses +=
+            c->backoffPauses.load(std::memory_order_relaxed);
+    }
+    return st;
+}
+
 void
 tm_set_logging(shared_t shared, AccessLog *log)
 {
@@ -403,7 +546,8 @@ tm_begin(shared_t shared, bool is_ro)
     if (t.live)
         die("tm_begin with a transaction already live on this "
             "thread/region");
-    t.region = r;
+    if (t.abortStreak != 0)
+        backOff(t);
     t.readOnly = is_ro;
     t.live = true;
     t.logOps.clear();
@@ -426,20 +570,21 @@ tm_end(shared_t shared, tx_t tx)
         const std::uint64_t stamp = ++r->glTicket;
         flushLog(t, stamp, false);
         r->gl.unlock();
+        countOutcome(t, Tl2Status::Ok);
         return true;
     }
     NativeWorld w{*r};
-    try {
-        const bool ro = t.algo.readOnly();
-        const std::uint64_t wv = t.algo.commit(w);
-        flushLog(t, ro ? t.algo.readVersion() : wv, ro);
-        t.algo.abortCleanup();  // flash the sets for slot reuse
-        return true;
-    } catch (const TxAbort &) {
-        t.algo.abortCleanup();
-        t.logOps.clear();
+    const bool ro = t.algo.readOnly();
+    std::uint64_t wv = 0;
+    if (const Tl2Status s = t.algo.commit(w, wv); s != Tl2Status::Ok) {
+        abortAttempt(t, s);
         return false;
     }
+    flushLog(t, ro ? t.algo.readVersion() : wv, ro);
+    t.algo.abortCleanup();  // flash the sets for slot reuse
+    t.abortStreak = 0;
+    countOutcome(t, Tl2Status::Ok);
+    return true;
 }
 
 bool
@@ -466,22 +611,18 @@ tm_read(shared_t shared, tx_t tx, const void *source,
     }
 
     NativeWorld w{*r};
-    try {
-        for (std::size_t off = 0; off < size; off += chunk) {
-            const std::uint64_t v =
-                t.algo.read(w, src + off,
-                            static_cast<unsigned>(chunk));
-            privateStore(dst + off, v, static_cast<unsigned>(chunk));
-            recordOp(t, false, src + off, v,
-                     static_cast<unsigned>(chunk));
+    for (std::size_t off = 0; off < size; off += chunk) {
+        std::uint64_t v = 0;
+        const Tl2Status s = t.algo.read(w, src + off,
+                                        static_cast<unsigned>(chunk), v);
+        if (s != Tl2Status::Ok) {
+            abortAttempt(t, s);
+            return false;
         }
-        return true;
-    } catch (const TxAbort &) {
-        t.algo.abortCleanup();
-        t.logOps.clear();
-        t.live = false;
-        return false;
+        privateStore(dst + off, v, static_cast<unsigned>(chunk));
+        recordOp(t, false, src + off, v, static_cast<unsigned>(chunk));
     }
+    return true;
 }
 
 bool

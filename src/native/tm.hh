@@ -24,6 +24,11 @@
  * transaction never observes an inconsistent snapshot - it returns
  * false from the offending tm_read instead.
  *
+ * An abort is a plain false return all the way down: the shared TL2
+ * core reports why an attempt failed by value, so no C++ exception
+ * is thrown or caught on the abort path.  tm_stats() counts commits,
+ * aborts by cause and back-off pauses per region.
+ *
  * All functions are thread-safe.  A tx_t is only valid on the thread
  * that tm_begin'd it and only until the tm_end / failed access that
  * finishes it.  Passing a finished handle, or one begun on another
@@ -64,6 +69,28 @@ enum class Backend
     GlobalLock,
 };
 
+/** A region's transaction counters, summed over every thread that
+ *  ever began a transaction on it (tm_stats).  The abort causes are
+ *  TL2's; the global-lock backend counts commits only. */
+struct Stats
+{
+    std::uint64_t commits = 0;
+    std::uint64_t readLocked = 0;        //!< tm_read: stripe locked
+    std::uint64_t readTooNew = 0;        //!< tm_read: version > snapshot
+    std::uint64_t readChanged = 0;       //!< tm_read: stripe moved mid-read
+    std::uint64_t commitLockBusy = 0;    //!< tm_end: lock wait gave up
+    std::uint64_t commitValidation = 0;  //!< tm_end: read set invalid
+    /** cpu-relax pauses tm_begin spent backing off after aborts. */
+    std::uint64_t backoffPauses = 0;
+
+    std::uint64_t
+    aborts() const
+    {
+        return readLocked + readTooNew + readChanged + commitLockBusy +
+               commitValidation;
+    }
+};
+
 /**
  * Create a shared region whose first segment has @p size bytes and
  * whose accesses are @p align-aligned (power of two; every
@@ -97,7 +124,11 @@ Backend tm_backend(shared_t shared);
 /**
  * Begin a transaction.  @p is_ro promises the transaction performs
  * no tm_write/tm_alloc/tm_free (read-only TL2 transactions commit
- * without locking).  Never blocks indefinitely; never fails.
+ * without locking).  Never blocks indefinitely; never fails.  After
+ * k consecutive aborted attempts on this thread and region, it first
+ * spins a random number of cpu-relax pauses in [0, 2^min(k, 10)) -
+ * a bounded randomized back-off that keeps conflicting retries from
+ * colliding again at once; a commit resets k.
  */
 tx_t tm_begin(shared_t shared, bool is_ro);
 
@@ -123,6 +154,15 @@ Alloc tm_alloc(shared_t shared, tx_t tx, std::size_t size,
 /** Deallocate the segment starting at @p target (deferred to
  *  tm_destroy).  False = aborted. */
 bool tm_free(shared_t shared, tx_t tx, void *target);
+
+/**
+ * The region's counters: commits, TL2 aborts by cause and back-off
+ * pauses, summed over the per-thread counter blocks.  Safe to call
+ * while transactions run (each block is read with relaxed atomic
+ * loads, so a concurrent snapshot is approximate, a quiescent one
+ * exact).
+ */
+Stats tm_stats(shared_t shared);
 
 /**
  * Attach an access-log checker (native/access_log.hh): every

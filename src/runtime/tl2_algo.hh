@@ -33,10 +33,20 @@
  *     void     writeData(AddrT a, uint64_t v, unsigned size);
  *     uint64_t myLockWord();             // tl2MakeLockWord(self)
  *     bool     ownsLock(uint64_t word);  // locked word is mine
- *     void     lockWaitRound(LockH, unsigned tries);  // may throw
+ *     bool     lockWaitRound(LockH, unsigned tries);  // keep waiting?
  *     // bookkeeping-cost hooks (no-ops natively):
  *     void onBegin(); void onReadIssued(); void onWriteSetHit();
  *     void onReadLogged(); void onWriteLogged();
+ *
+ * Aborts are reported by value: read() and commit() return a
+ * Tl2Status naming why the attempt failed, with every stripe lock
+ * already released, and lockWaitRound() returns false when the
+ * world gives up waiting.  The core itself never throws, so the
+ * native world runs without C++ exceptions on its abort path.  Only
+ * the simulator's world throws: Tl2Thread turns a failed status into
+ * TxAbort for TxThread::txn's retry loop, and its contention-manager
+ * policies may throw TxAbort{CmSelf} from lockWaitRound(), which
+ * commit() catches only to release the locks it holds and rethrow.
  *
  * The simulator's World is TxThread-backed and must stay
  * bit-identical to the pre-split monolithic runtime: the order of
@@ -81,6 +91,20 @@ tl2MakeLockWord(std::uint64_t owner)
     return (owner << 1) | 1;
 }
 /// @}
+
+/** Outcome of a TL2 read or commit: Ok, or why the attempt failed. */
+enum class Tl2Status : unsigned
+{
+    Ok = 0,
+    ReadLocked,        //!< read: the stripe is locked by a committer
+    ReadTooNew,        //!< read: stripe version newer than rv
+    ReadChanged,       //!< read: the stripe changed during the read
+    CommitLockBusy,    //!< commit: the stripe-lock wait gave up
+    CommitValidation,  //!< commit: read-set validation failed
+};
+
+constexpr unsigned kNumTl2Statuses =
+    static_cast<unsigned>(Tl2Status::CommitValidation) + 1;
 
 /**
  * Transaction-private TL2 state and protocol.  @p AddrT is the
@@ -127,9 +151,11 @@ class Tl2Algo
         rv_ = w.sampleClock();
     }
 
+    /** Read @p size bytes at @p a into @p v.  A failed status means
+     *  the attempt is dead (no locks are held during reads). */
     template <typename World>
-    std::uint64_t
-    read(World &w, AddrT a, unsigned size)
+    [[nodiscard]] Tl2Status
+    read(World &w, AddrT a, unsigned size, std::uint64_t &v)
     {
         w.onReadIssued();
 
@@ -139,12 +165,12 @@ class Tl2Algo
         if (declaredRo_) {
             const LockH lock = w.lockFor(a);
             const std::uint64_t l1 = w.loadLock(lock);
-            if (tl2IsLocked(l1) || l1 > rv_)
-                throw TxAbort{AbortCause::Validation};
-            const std::uint64_t v = w.loadData(a, size);
+            if (const Tl2Status s = checkSnapshot(l1); s != Tl2Status::Ok)
+                return s;
+            v = w.loadData(a, size);
             if (w.loadLock(lock) != l1)
-                throw TxAbort{AbortCause::Validation};
-            return v;
+                return Tl2Status::ReadChanged;
+            return Tl2Status::Ok;
         }
 
         // Write-set lookup (Bloom filter + log probe on a hit).
@@ -154,24 +180,25 @@ class Tl2Algo
             auto it = writeSet_.find(a);
             if (it != writeSet_.end()) {
                 w.onWriteSetHit();
-                return it->second.value;
+                v = it->second.value;
+                return Tl2Status::Ok;
             }
         }
 
         const LockH lock = w.lockFor(a);
         const std::uint64_t l1 = w.loadLock(lock);
-        if (tl2IsLocked(l1) || l1 > rv_)
-            throw TxAbort{AbortCause::Validation};
+        if (const Tl2Status s = checkSnapshot(l1); s != Tl2Status::Ok)
+            return s;
 
-        const std::uint64_t v = w.loadData(a, size);
+        v = w.loadData(a, size);
 
         const std::uint64_t l2 = w.loadLock(lock);
         if (l2 != l1)
-            throw TxAbort{AbortCause::Validation};
+            return Tl2Status::ReadChanged;
 
         readSet_.emplace_back(lock, l1);
         w.onReadLogged();
-        return v;
+        return Tl2Status::Ok;
     }
 
     template <typename World>
@@ -185,20 +212,22 @@ class Tl2Algo
     }
 
     /**
-     * Commit protocol.  Returns the write version (0 for a read-only
-     * transaction, which commits at its rv without further work).
-     * Throws TxAbort on validation failure or a contention-manager
-     * requester-abort; all stripe locks are released (old words
-     * restored) before the throw.
+     * Commit protocol.  On Ok, @p wv holds the write version (0 for a
+     * read-only transaction, which commits at its rv without further
+     * work).  A failed status (lock wait given up, read-set
+     * validation failed) comes back with every stripe lock released
+     * and its old word restored; so does a TxAbort a simulated
+     * contention manager throws from lockWaitRound().
      */
     template <typename World>
-    std::uint64_t
-    commit(World &w)
+    [[nodiscard]] Tl2Status
+    commit(World &w, std::uint64_t &wv)
     {
         // Read-only transactions commit without further work (their
         // per-read validations against rv suffice).
+        wv = 0;
         if (writeSet_.empty())
-            return 0;
+            return Tl2Status::Ok;
 
         // Acquire stripe locks in lock order (deadlock freedom).
         // lockBuf_ is a member so the per-commit scratch space is
@@ -228,20 +257,26 @@ class Tl2Algo
                 }
                 // One world-shaped wait round (a contention-manager
                 // round in the simulator, a bounded spin natively).
-                // On a requester abort the stripe locks acquired so
-                // far must be released before the unwind.
+                // Giving up - by value natively, by a simulated
+                // policy's requester-abort throw - must first release
+                // the stripe locks acquired so far.
+                bool keepWaiting = false;
                 try {
-                    w.lockWaitRound(lock, ++tries);
+                    keepWaiting = w.lockWaitRound(lock, ++tries);
                 } catch (const TxAbort &) {
                     releaseHeld(w, true, 0);
                     throw;
+                }
+                if (!keepWaiting) {
+                    releaseHeld(w, true, 0);
+                    return Tl2Status::CommitLockBusy;
                 }
             }
         }
 
         // Bump the global clock.  GV1 clock order is commit order;
         // the world stamps at the successful bump.
-        const std::uint64_t wv = w.bumpClock();
+        wv = w.bumpClock();
 
         // Validate the read set unless nothing moved under us.
         if (wv != rv_ + 2) {
@@ -250,7 +285,7 @@ class Tl2Algo
                 if (tl2IsLocked(cur)) {
                     if (!w.ownsLock(cur)) {
                         releaseHeld(w, true, 0);
-                        throw TxAbort{AbortCause::Validation};
+                        return Tl2Status::CommitValidation;
                     }
                     // Locked by us: validate against the pre-lock
                     // word (the version the stripe had when we
@@ -264,7 +299,7 @@ class Tl2Algo
                 }
                 if (tl2IsLocked(cur) || cur != ver) {
                     releaseHeld(w, true, 0);
-                    throw TxAbort{AbortCause::Validation};
+                    return Tl2Status::CommitValidation;
                 }
             }
         }
@@ -275,11 +310,11 @@ class Tl2Algo
             w.writeData(a, e.value, e.size);
         });
         releaseHeld(w, false, wv);
-        return wv;
+        return Tl2Status::Ok;
     }
 
     /** Post-abort flash.  Never runs with stripe locks held: every
-     *  commit-path throw releases them first (callers assert via
+     *  failed commit releases them first (callers assert via
      *  locksHeld()). */
     void
     abortCleanup()
@@ -294,6 +329,18 @@ class Tl2Algo
     std::uint64_t readVersion() const { return rv_; }
 
   private:
+    /** The pre-read half of the lock/version sandwich: the stripe's
+     *  first lock word @p l1 must be an unlocked version <= rv. */
+    Tl2Status
+    checkSnapshot(std::uint64_t l1) const
+    {
+        if (tl2IsLocked(l1))
+            return Tl2Status::ReadLocked;
+        if (l1 > rv_)
+            return Tl2Status::ReadTooNew;
+        return Tl2Status::Ok;
+    }
+
     template <typename World>
     void
     releaseHeld(World &w, bool restore_old, std::uint64_t wv)

@@ -78,13 +78,14 @@ Tl2Thread::bumpClock()
     }
 }
 
-void
+bool
 Tl2Thread::lockWaitRound(Addr, unsigned tries)
 {
     // TL2 owners drain on their own (stripe locks have no abort
     // handle), so the policy only shapes the wait or gives up the
-    // attempt.
+    // attempt by throwing TxAbort{CmSelf}.
     m_.cmPolicy().lockWaitRound(*this, tries);
+    return true;
 }
 
 void
@@ -96,7 +97,10 @@ Tl2Thread::beginTx()
 std::uint64_t
 Tl2Thread::txRead(Addr a, unsigned size)
 {
-    return algo_.read(*this, a, size);
+    std::uint64_t v = 0;
+    if (algo_.read(*this, a, size, v) != Tl2Status::Ok)
+        throw TxAbort{AbortCause::Validation};
+    return v;
 }
 
 void
@@ -108,7 +112,9 @@ Tl2Thread::txWrite(Addr a, std::uint64_t v, unsigned size)
 bool
 Tl2Thread::commitTx()
 {
-    algo_.commit(*this);
+    std::uint64_t wv = 0;
+    if (algo_.commit(*this, wv) != Tl2Status::Ok)
+        throw TxAbort{AbortCause::Validation};
     return true;
 }
 

@@ -48,7 +48,10 @@ class Tl2Thread : public TxThread
     /** @name World interface consumed by Tl2Algo
      *  Every call issues simulated memory traffic and/or charges
      *  bookkeeping work; tl2_algo.hh's call order is the frozen
-     *  contract for the determinism goldens. */
+     *  contract for the determinism goldens.  This is the one world
+     *  that throws: txRead/commitTx turn the core's failed statuses
+     *  into TxAbort{Validation}, and lockWaitRound's policy may
+     *  throw TxAbort{CmSelf}. */
     /// @{
     std::uint64_t sampleClock();
     std::uint64_t bumpClock();
@@ -79,7 +82,7 @@ class Tl2Thread : public TxThread
     {
         return tl2LockOwner(word) == core_;
     }
-    void lockWaitRound(Addr lock, unsigned tries);
+    bool lockWaitRound(Addr lock, unsigned tries);
     void onBegin() { logSlot_ = 0; }
     void onReadIssued() { work(1); }
     void onWriteSetHit() { work(3); }

@@ -3,12 +3,14 @@
  * Transaction abort signalling, shared by the simulated runtimes and
  * the native libflextm backends.
  *
- * Deliberately dependency-free: the native library pulls this in
- * without dragging the simulator (Machine, MemorySystem, scheduler)
- * behind it.  Runtime internals throw TxAbort when the current
- * attempt must restart; the retry loop (TxThread::txn in the
- * simulator, the tm_read/tm_write/tm_end wrappers natively) catches
- * it and maps the cause onto its own accounting.
+ * Deliberately dependency-free: the shared TL2 core (tl2_algo.hh)
+ * pulls this in without dragging the simulator (Machine,
+ * MemorySystem, scheduler) behind it.  Simulated runtime internals
+ * throw TxAbort when the current attempt must restart; the retry
+ * loop, TxThread::txn, catches it and maps the cause onto its own
+ * accounting.  The native libflextm wrappers neither throw nor catch
+ * it: the TL2 core reports a failed attempt by value (Tl2Status),
+ * and tm_read/tm_end return false.
  */
 
 #ifndef FLEXTM_RUNTIME_TX_ABORT_HH

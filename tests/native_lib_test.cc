@@ -6,11 +6,13 @@
  * non-serializable history, or its green runs mean nothing).
  *
  * Everything here is pure native code - no simulator fibers - so the
- * suite also runs under the tsan preset (label nativetsan).
+ * suite also runs under the tsan preset (label nativetsan) and in the
+ * sanitized `fault` net (native_lib_fault).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -111,6 +113,24 @@ TEST(NativeLibCreate, BackendComesFromEnv)
     ASSERT_NE(sh, invalid_shared);
     EXPECT_EQ(tm_backend(sh), Backend::Tl2);
     tm_destroy(sh);
+}
+
+/** A slot cached for a destroyed region must not count into it: a
+ *  new region at the recycled address starts from zero and counts
+ *  only its own commits. */
+TEST(NativeLibCreate, StatsAreFreshWhenARegionReusesAnAddress)
+{
+    for (int i = 0; i < 4; ++i) {
+        shared_t sh = tm_create_with(1024, 8, Backend::Tl2);
+        ASSERT_NE(sh, invalid_shared);
+        EXPECT_EQ(tm_stats(sh).commits, 0u);
+        runTxn(sh, true, [&](tx_t tx) {
+            std::uint64_t v;
+            return tm_read(sh, tx, tm_start(sh), sizeof v, &v);
+        });
+        EXPECT_EQ(tm_stats(sh).commits, 1u) << "region " << i;
+        tm_destroy(sh);
+    }
 }
 
 TEST(NativeLibCreateDeath, GarbageBackendIsFatal)
@@ -249,6 +269,53 @@ TEST(NativeLibTl2, StaleSnapshotReadAborts)
         return rok;
     });
 
+    // Exactly one abort, counted as "version too new"; the writer and
+    // the final reader committed.
+    const Stats st = tm_stats(sh);
+    EXPECT_EQ(st.readTooNew, 1u);
+    EXPECT_EQ(st.aborts(), 1u);
+    EXPECT_EQ(st.commits, 2u);
+
+    tm_destroy(sh);
+}
+
+/** A writer whose read set another thread invalidated fails
+ *  commit-time validation (not a read) and restores its locks. */
+TEST(NativeLibTl2, InvalidatedReadSetFailsCommitValidation)
+{
+    shared_t sh = tm_create_with(1024, 8, Backend::Tl2);
+    ASSERT_NE(sh, invalid_shared);
+    auto *words = static_cast<std::uint64_t *>(tm_start(sh));
+
+    tx_t tx = tm_begin(sh, false);
+    bool ok;
+    readWord(sh, tx, &words[0], &ok);
+    ASSERT_TRUE(ok);
+    const std::uint64_t mine = 5;
+    ASSERT_TRUE(tm_write(sh, tx, &mine, sizeof mine, &words[2]));
+
+    std::thread writer([&] {
+        runTxn(sh, false, [&](tx_t w) {
+            const std::uint64_t v = 1;
+            return tm_write(sh, w, &v, sizeof v, &words[0]);
+        });
+    });
+    writer.join();
+    EXPECT_FALSE(tm_end(sh, tx));
+
+    Stats st = tm_stats(sh);
+    EXPECT_EQ(st.commitValidation, 1u);
+    EXPECT_EQ(st.aborts(), 1u);
+    EXPECT_EQ(st.commits, 1u);
+
+    // The failed commit released words[2]'s stripe: a retry commits.
+    runTxn(sh, false, [&](tx_t w) {
+        return tm_write(sh, w, &mine, sizeof mine, &words[2]);
+    });
+    st = tm_stats(sh);
+    EXPECT_EQ(st.commits, 2u);
+    EXPECT_EQ(st.aborts(), 1u);
+
     tm_destroy(sh);
 }
 
@@ -275,6 +342,46 @@ abortedTx(shared_t sh)
     std::uint64_t v;
     EXPECT_FALSE(tm_read(sh, tx, &words[1], sizeof v, &v));
     return tx;
+}
+
+/** tm_begin's back-off: after k consecutive aborts on a slot it
+ *  spins a random number of pauses in [0, 2^min(k, 10)), and a
+ *  commit resets k. */
+TEST(NativeLibTl2, BackoffGrowsWithTheAbortStreakAndResetsOnCommit)
+{
+    constexpr unsigned kStreak = 8;
+    constexpr unsigned kCap = 10;  // tm.hh's documented window cap
+    shared_t sh = tm_create_with(1024, 8, Backend::Tl2);
+    ASSERT_NE(sh, invalid_shared);
+    auto *words = static_cast<std::uint64_t *>(tm_start(sh));
+    const auto readOnce = [&](tx_t tx) {
+        bool ok;
+        readWord(sh, tx, &words[0], &ok);
+        return ok;
+    };
+
+    // kStreak forced aborts in a row; the commit's tm_begin then
+    // backs off for a streak of kStreak.
+    for (unsigned i = 0; i < kStreak; ++i)
+        abortedTx(sh);
+    runTxn(sh, true, readOnce);
+
+    const Stats st = tm_stats(sh);
+    EXPECT_EQ(st.readTooNew, kStreak);
+    EXPECT_EQ(st.aborts(), kStreak);
+    std::uint64_t bound = 0;
+    for (unsigned k = 1; k <= kStreak; ++k)
+        bound += (std::uint64_t{1} << std::min(k, kCap)) - 1;
+    EXPECT_GT(st.backoffPauses, 0u);
+    EXPECT_LE(st.backoffPauses, bound);
+
+    // The commit reset the streak: one more abort (a streak of 1)
+    // buys the next tm_begin at most 2^1 - 1 pauses.
+    abortedTx(sh);
+    runTxn(sh, true, readOnce);
+    EXPECT_LE(tm_stats(sh).backoffPauses - st.backoffPauses, 1u);
+
+    tm_destroy(sh);
 }
 
 class NativeLibDeadHandleDeath : public ::testing::Test
@@ -352,6 +459,7 @@ TEST_P(NativeLib, ConcurrentCountersAreExactAndSerializable)
     AccessLog log;
     tm_set_logging(sh, &log);
 
+    std::atomic<unsigned> finished{0};
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
@@ -377,11 +485,30 @@ TEST_P(NativeLib, ConcurrentCountersAreExactAndSerializable)
                                     &words[8 + t]);
                 });
             }
+            finished.fetch_add(1, std::memory_order_release);
         });
+    }
+    // tm_stats may run beside live transactions (the tsan preset
+    // checks its cross-thread counter reads); commits only grow.
+    std::uint64_t seen = 0;
+    while (finished.load(std::memory_order_acquire) < kThreads) {
+        const std::uint64_t now = tm_stats(sh).commits;
+        EXPECT_GE(now, seen);
+        seen = now;
+        std::this_thread::yield();
     }
     for (auto &th : threads)
         th.join();
     tm_set_logging(sh, nullptr);
+
+    // Every transaction run commits exactly once; the global lock
+    // never aborts, so it never backs off.
+    const Stats st = tm_stats(sh);
+    EXPECT_EQ(st.commits, std::uint64_t{kThreads} * kIncrements);
+    if (GetParam() == Backend::GlobalLock) {
+        EXPECT_EQ(st.aborts(), 0u);
+        EXPECT_EQ(st.backoffPauses, 0u);
+    }
 
     runTxn(sh, true, [&](tx_t tx) {
         bool ok;
