@@ -1,7 +1,6 @@
 #include "core/signature.hh"
 
 #include <bit>
-#include <utility>
 
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -98,35 +97,6 @@ Signature::clear()
 {
     words_.assign(words_.size(), 0);
     population_ = 0;
-    ++generation_;
-}
-
-Signature &
-Signature::operator=(const Signature &o)
-{
-    if (this != &o) {
-        bits_ = o.bits_;
-        hashes_ = o.hashes_;
-        bankBits_ = o.bankBits_;
-        words_ = o.words_;
-        population_ = o.population_;
-        ++generation_;
-    }
-    return *this;
-}
-
-Signature &
-Signature::operator=(Signature &&o)
-{
-    if (this != &o) {
-        bits_ = o.bits_;
-        hashes_ = o.hashes_;
-        bankBits_ = o.bankBits_;
-        words_ = std::move(o.words_);
-        population_ = o.population_;
-        ++generation_;
-    }
-    return *this;
 }
 
 void

@@ -46,26 +46,6 @@ class Signature
     /** True when no line has ever been inserted since clear(). */
     bool empty() const { return population_ == 0; }
 
-    /** Number of insert() calls since the last clear(). */
-    std::uint64_t insertCount() const { return population_; }
-
-    /**
-     * Bit-removal generation: bumped by every operation that can
-     * take bits away from this object (clear(), wholesale
-     * assignment).  Between two reads of the same (generation(),
-     * insertCount()) pair the filter is unchanged; under an
-     * unchanged generation() alone it can only have gained bits.
-     * This is the validity contract the directory's sharer cache
-     * uses to memoize mayContain() results.
-     */
-    std::uint64_t generation() const { return generation_; }
-
-    Signature(const Signature &) = default;
-    Signature(Signature &&) = default;
-    /** Replacing the contents may drop bits: advance generation_. */
-    Signature &operator=(const Signature &o);
-    Signature &operator=(Signature &&o);
-
     /** OR another signature into this one (OS summary signatures). */
     void unionWith(const Signature &other);
 
@@ -89,7 +69,6 @@ class Signature
     unsigned bankBits_;      //!< bits per bank
     std::vector<std::uint64_t> words_;
     std::uint64_t population_ = 0;
-    std::uint64_t generation_ = 0;
 
     unsigned bitIndex(Addr line, unsigned hash) const;
     void insertLine(Addr line);

@@ -64,9 +64,7 @@ MemorySystem::HotCounters::HotCounters(StatRegistry &s)
       pdiTiUpgradeRefreshes(s.counter("pdi.ti_upgrade_refreshes")),
       aouTiAloads(s.counter("aou.ti_aloads")),
       faultTmiEvictions(s.counter("fault.tmi_evictions")),
-      osCtxswitchSpills(s.counter("os.ctxswitch_spills")),
-      sharerCacheHits(s.counter("sharer_cache.hits")),
-      sharerCacheMisses(s.counter("sharer_cache.misses"))
+      osCtxswitchSpills(s.counter("os.ctxswitch_spills"))
 {
 }
 
@@ -191,39 +189,6 @@ MemorySystem::applyToLine(L1Line &line, AccessType type, Addr addr,
         std::memcpy(line.data.data() + off, buf, size);
     else
         std::memcpy(buf, line.data.data() + off, size);
-}
-
-bool
-MemorySystem::memoQuery(const Signature &sig, SigMemo &m, Addr addr)
-{
-    // A cached TRUE stays true while no bits were removed (same
-    // generation: the filter is monotone).  A cached FALSE needs the
-    // stronger check that nothing was inserted either.
-    if (m.valid && m.gen == sig.generation() &&
-        (m.result || m.pop == sig.insertCount())) {
-        ++ctr_.sharerCacheHits;
-        return m.result;
-    }
-    ++ctr_.sharerCacheMisses;
-    m.result = sig.mayContain(addr);
-    m.gen = sig.generation();
-    m.pop = sig.insertCount();
-    m.valid = true;
-    return m.result;
-}
-
-bool
-MemorySystem::wsigMayContain(CoreId k, Addr addr)
-{
-    return memoQuery(contexts_[k].wsig, sharerCache_[lineAlign(addr) | k].w,
-                     addr);
-}
-
-bool
-MemorySystem::rsigMayContain(CoreId k, Addr addr)
-{
-    return memoQuery(contexts_[k].rsig, sharerCache_[lineAlign(addr) | k].r,
-                     addr);
 }
 
 Cycles
@@ -359,9 +324,9 @@ MemorySystem::l2FillOrFind(Addr addr, Cycles now, Cycles &latency)
         const HwContext &ck = contexts_[k];
         if (!ck.inTx)
             continue;
-        if (wsigMayContain(k, addr))
+        if (ck.wsig.mayContain(addr))
             nl.dir.owners |= bit(k);
-        else if (rsigMayContain(k, addr))
+        else if (ck.rsig.mayContain(addr))
             nl.dir.sharers |= bit(k);
     }
     return nl;
@@ -374,8 +339,8 @@ MemorySystem::forwardOne(CoreId k, CoreId requestor, ReqType t,
 {
     HwContext &ck = contexts_[k];
     L1Line *line = l1s_[k]->probe(addr);
-    const bool w_hit = ck.inTx && wsigMayContain(k, addr);
-    const bool r_hit = ck.inTx && rsigMayContain(k, addr);
+    const bool w_hit = ck.inTx && ck.wsig.mayContain(addr);
+    const bool r_hit = ck.inTx && ck.rsig.mayContain(addr);
 
     // Signature-derived response (Figure 1 table) + responder-side
     // CST update (Section 3.2).
@@ -539,8 +504,8 @@ MemorySystem::dirTransaction(CoreId core, ReqType req_type, Addr addr,
             // gone (silent eviction / OT spill): the core must keep
             // receiving the requests it needs for conflict tracking.
             const HwContext &ck = contexts_[k];
-            const bool w_hit = ck.inTx && wsigMayContain(k, addr);
-            const bool r_hit = ck.inTx && rsigMayContain(k, addr);
+            const bool w_hit = ck.inTx && ck.wsig.mayContain(addr);
+            const bool r_hit = ck.inTx && ck.rsig.mayContain(addr);
             const bool sticky = os_ && os_->sticky(k, addr);
 
             const bool keep_owner =

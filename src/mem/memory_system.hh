@@ -47,7 +47,6 @@
 #include "mem/protocol.hh"
 #include "sim/auditor.hh"
 #include "sim/config.hh"
-#include "sim/flat_map.hh"
 #include "sim/sim_memory.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -237,7 +236,6 @@ class MemorySystem
         Counter &pdiTmiInstalls, &pdiTmiFromM, &pdiTiInstalls;
         Counter &pdiTiUpgradeRefreshes, &aouTiAloads;
         Counter &faultTmiEvictions, &osCtxswitchSpills;
-        Counter &sharerCacheHits, &sharerCacheMisses;
     };
     HotCounters ctr_;
 
@@ -256,35 +254,6 @@ class MemorySystem
     /** max(busyUntil) over retiredOt_: lets otNackDelay() skip the
      *  per-core scan entirely once every copy-back has drained. */
     Cycles retiredBusyUntil_ = 0;
-
-    /**
-     * Directory sharer cache: exact memoization of per-core Rsig /
-     * Wsig membership per line.  A memoized result is revalidated
-     * against the signature's (generation, insertCount) version on
-     * every use - see Signature::generation() for the contract - so
-     * the cache never needs invalidation hooks and cannot change
-     * simulated behaviour.
-     */
-    struct SigMemo
-    {
-        std::uint64_t gen = 0;
-        std::uint64_t pop = 0;
-        bool result = false;
-        bool valid = false;
-    };
-    struct SharerMemo
-    {
-        SigMemo w, r;
-    };
-    /** Keyed by lineAlign(addr) | core (lines are 64-byte aligned;
-     *  cores fit the low 6 bits since maxCstCores == 64). */
-    FlatMap<Addr, SharerMemo> sharerCache_;
-
-    /** Memoized ctx.wsig.mayContain(addr) for core @p k. */
-    bool wsigMayContain(CoreId k, Addr addr);
-    /** Memoized ctx.rsig.mayContain(addr) for core @p k. */
-    bool rsigMayContain(CoreId k, Addr addr);
-    bool memoQuery(const Signature &sig, SigMemo &m, Addr addr);
 
     OsHandler *os_ = nullptr;
     Cycles otLatency_;

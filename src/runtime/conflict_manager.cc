@@ -215,7 +215,7 @@ CmPolicyBase::lazyCommitGate(TxThread &, std::uint64_t)
     // the CST bits the hardware recorded.
 }
 
-void
+bool
 CmPolicyBase::lockWaitRound(TxThread &self, unsigned round)
 {
     // Historical TL2 owner wait: bounded patience, then yield the
@@ -223,8 +223,9 @@ CmPolicyBase::lockWaitRound(TxThread &self, unsigned round)
     // parked owner must not wedge us).  The irrevocable committer
     // never gives up - it may not abort.
     if (round > 4 && !self.irrevocable())
-        throw TxAbort{AbortCause::CmSelf};
+        return false;
     self.work(16u << std::min(round, 8u));
+    return true;
 }
 
 void
@@ -388,14 +389,17 @@ class RandomizedBackoffPolicy : public CmPolicyBase
             selfAbort(self);
     }
 
-    void
+    bool
     lockWaitRound(TxThread &self, unsigned round) override
     {
-        if (round > 4 && !self.irrevocable())
-            selfAbort(self);
+        if (round > 4 && !self.irrevocable()) {
+            ++selfAborts(self);
+            return false;
+        }
         const Cycles base = Cycles{16} << std::min(round, 8u);
         self.work(base / 2 + self.rng().nextInt(base));
         ++backoffs(self);
+        return true;
     }
 
     bool requesterAbortsOnly() const override { return true; }
@@ -437,14 +441,15 @@ class SerialIrrevocableFirstPolicy : public CmPolicyBase
         throw TxAbort{AbortCause::CmSelf};
     }
 
-    void
+    bool
     lockWaitRound(TxThread &self, unsigned round) override
     {
         if (round > 4 && !self.irrevocable()) {
             self.machine().progress().forceEscalate(self.tid());
-            throw TxAbort{AbortCause::CmSelf};
+            return false;
         }
         self.work(16u << std::min(round, 8u));
+        return true;
     }
 
     void

@@ -132,9 +132,12 @@ class CmPolicyBase
     /**
      * One round of waiting on a TL2 commit-lock owner (the caller
      * re-probes the lock between rounds).  @p round starts at 1.
-     * May throw TxAbort (the caller releases held locks first).
+     * Returns whether to keep waiting; false gives up the attempt
+     * (the caller releases its held locks and aborts with CmSelf).
+     * Never throws.
      */
-    virtual void lockWaitRound(TxThread &self, unsigned round);
+    [[nodiscard]] virtual bool lockWaitRound(TxThread &self,
+                                             unsigned round);
 
     /**
      * One round of CGL's global-lock spin.  CGL critical sections

@@ -38,15 +38,14 @@
  *     void onBegin(); void onReadIssued(); void onWriteSetHit();
  *     void onReadLogged(); void onWriteLogged();
  *
- * Aborts are reported by value: read() and commit() return a
- * Tl2Status naming why the attempt failed, with every stripe lock
- * already released, and lockWaitRound() returns false when the
- * world gives up waiting.  The core itself never throws, so the
- * native world runs without C++ exceptions on its abort path.  Only
- * the simulator's world throws: Tl2Thread turns a failed status into
- * TxAbort for TxThread::txn's retry loop, and its contention-manager
- * policies may throw TxAbort{CmSelf} from lockWaitRound(), which
- * commit() catches only to release the locks it holds and rethrow.
+ * Aborts have one protocol in both worlds: read() and commit()
+ * return a Tl2Status naming why the attempt failed, with every stripe
+ * lock already released, and lockWaitRound() returns false when the
+ * world gives up waiting (natively a bounded spin, in the simulator
+ * the contention manager's verdict).  Neither the core nor any World
+ * hook throws.  The simulator's Tl2Thread alone turns a failed status
+ * into TxAbort for TxThread::txn's retry loop; the native library
+ * returns false from tm_read/tm_end.
  *
  * The simulator's World is TxThread-backed and must stay
  * bit-identical to the pre-split monolithic runtime: the order of
@@ -63,7 +62,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/tx_abort.hh"
 #include "sim/flat_map.hh"
 
 namespace flextm
@@ -216,8 +214,7 @@ class Tl2Algo
      * read-only transaction, which commits at its rv without further
      * work).  A failed status (lock wait given up, read-set
      * validation failed) comes back with every stripe lock released
-     * and its old word restored; so does a TxAbort a simulated
-     * contention manager throws from lockWaitRound().
+     * and its old word restored.
      */
     template <typename World>
     [[nodiscard]] Tl2Status
@@ -257,17 +254,9 @@ class Tl2Algo
                 }
                 // One world-shaped wait round (a contention-manager
                 // round in the simulator, a bounded spin natively).
-                // Giving up - by value natively, by a simulated
-                // policy's requester-abort throw - must first release
-                // the stripe locks acquired so far.
-                bool keepWaiting = false;
-                try {
-                    keepWaiting = w.lockWaitRound(lock, ++tries);
-                } catch (const TxAbort &) {
-                    releaseHeld(w, true, 0);
-                    throw;
-                }
-                if (!keepWaiting) {
+                // Giving up must first release the stripe locks
+                // acquired so far.
+                if (!w.lockWaitRound(lock, ++tries)) {
                     releaseHeld(w, true, 0);
                     return Tl2Status::CommitLockBusy;
                 }

@@ -83,9 +83,8 @@ Tl2Thread::lockWaitRound(Addr, unsigned tries)
 {
     // TL2 owners drain on their own (stripe locks have no abort
     // handle), so the policy only shapes the wait or gives up the
-    // attempt by throwing TxAbort{CmSelf}.
-    m_.cmPolicy().lockWaitRound(*this, tries);
-    return true;
+    // attempt.
+    return m_.cmPolicy().lockWaitRound(*this, tries);
 }
 
 void
@@ -113,7 +112,10 @@ bool
 Tl2Thread::commitTx()
 {
     std::uint64_t wv = 0;
-    if (algo_.commit(*this, wv) != Tl2Status::Ok)
+    const Tl2Status s = algo_.commit(*this, wv);
+    if (s == Tl2Status::CommitLockBusy)
+        throw TxAbort{AbortCause::CmSelf};  // the policy gave up
+    if (s != Tl2Status::Ok)
         throw TxAbort{AbortCause::Validation};
     return true;
 }

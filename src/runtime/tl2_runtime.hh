@@ -49,9 +49,9 @@ class Tl2Thread : public TxThread
      *  Every call issues simulated memory traffic and/or charges
      *  bookkeeping work; tl2_algo.hh's call order is the frozen
      *  contract for the determinism goldens.  This is the one world
-     *  that throws: txRead/commitTx turn the core's failed statuses
-     *  into TxAbort{Validation}, and lockWaitRound's policy may
-     *  throw TxAbort{CmSelf}. */
+     *  that throws, and only outside the core: txRead/commitTx turn
+     *  its failed statuses into TxAbort (CmSelf when the policy gave
+     *  up a lock wait, Validation otherwise). */
     /// @{
     std::uint64_t sampleClock();
     std::uint64_t bumpClock();

@@ -1,16 +1,13 @@
 /**
  * @file
- * Transaction abort signalling, shared by the simulated runtimes and
- * the native libflextm backends.
+ * Transaction abort signalling for the simulated runtimes.
  *
- * Deliberately dependency-free: the shared TL2 core (tl2_algo.hh)
- * pulls this in without dragging the simulator (Machine,
- * MemorySystem, scheduler) behind it.  Simulated runtime internals
- * throw TxAbort when the current attempt must restart; the retry
- * loop, TxThread::txn, catches it and maps the cause onto its own
- * accounting.  The native libflextm wrappers neither throw nor catch
- * it: the TL2 core reports a failed attempt by value (Tl2Status),
- * and tm_read/tm_end return false.
+ * Simulated runtime internals throw TxAbort when the current attempt
+ * must restart; the retry loop, TxThread::txn, catches it and maps
+ * the cause onto its own accounting.  Neither the shared TL2 core
+ * (tl2_algo.hh) nor the native libflextm library throws or catches
+ * it: the core reports a failed attempt by value (Tl2Status), and
+ * tm_read/tm_end return false.
  */
 
 #ifndef FLEXTM_RUNTIME_TX_ABORT_HH

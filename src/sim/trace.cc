@@ -14,8 +14,8 @@ namespace flextm::trace
 namespace detail
 {
 
-thread_local unsigned activeMask = 0;
-thread_local bool maskInitialized = false;
+constinit thread_local unsigned activeMask = 0;
+constinit thread_local bool maskInitialized = false;
 
 void
 initMaskFromEnv()

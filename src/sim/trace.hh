@@ -45,9 +45,12 @@ namespace detail
 /** Per OS thread so concurrent Machines trace independently (and the
  *  lazy env init cannot race).  Exposed only so mask()/enabled()
  *  inline to a TLS load + predicted branch at every FTRACE site
- *  instead of a call into trace.cc per memory event. */
-extern thread_local unsigned activeMask;
-extern thread_local bool maskInitialized;
+ *  instead of a call into trace.cc per memory event.  constinit
+ *  promises static initialization, so that load goes straight to the
+ *  variable instead of through a weak TLS-init wrapper (whose null
+ *  test UBSan reports as a null-pointer load). */
+extern constinit thread_local unsigned activeMask;
+extern constinit thread_local bool maskInitialized;
 void initMaskFromEnv();
 } // namespace detail
 

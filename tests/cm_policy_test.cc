@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "runtime/conflict_manager.hh"
 #include "runtime/tx_thread.hh"
 #include "sim/progress.hh"
@@ -452,27 +454,38 @@ TEST(SerialIrrevocableFirst, RepeatConflictEscalatesToTheToken)
     EXPECT_EQ(r.count("cm.self_aborts"), 1u);
 }
 
+/** Rounds 1..5 of @p policy's TL2 lock wait on a fiber: the
+ *  verdicts, and whether anything threw. */
+std::vector<bool>
+lockWaitVerdicts(Rig &r, CmPolicy policy, bool &threw)
+{
+    std::vector<bool> verdicts;
+    r.onFiber([&] {
+        for (unsigned round = 1; round <= 5; ++round)
+            verdicts.push_back(
+                cmPolicyFor(policy).lockWaitRound(r.t, round));
+    }, &threw);
+    return verdicts;
+}
+
 TEST(WaitSurfaces, BaseLockWaitRoundYieldsAfterPatience)
 {
     Rig r;
     bool threw = false;
-    r.onFiber([&] {
-        for (unsigned round = 1; round <= 10; ++round)
-            cmPolicyFor(CmPolicy::Polka).lockWaitRound(r.t, round);
-    }, &threw);
-    EXPECT_TRUE(threw);  // round 5 throws (bounded patience)
+    // Bounded patience: four rounds of waiting, then round 5 gives
+    // up by value.
+    EXPECT_EQ(lockWaitVerdicts(r, CmPolicy::Polka, threw),
+              (std::vector<bool>{true, true, true, true, false}));
+    EXPECT_FALSE(threw);
 }
 
 TEST(WaitSurfaces, SerialLockWaitRoundEscalatesBeforeYielding)
 {
     Rig r;
     bool threw = false;
-    r.onFiber([&] {
-        for (unsigned round = 1; round <= 10; ++round)
-            cmPolicyFor(CmPolicy::SerialIrrevocableFirst)
-                .lockWaitRound(r.t, round);
-    }, &threw);
-    EXPECT_TRUE(threw);
+    EXPECT_EQ(lockWaitVerdicts(r, CmPolicy::SerialIrrevocableFirst, threw),
+              (std::vector<bool>{true, true, true, true, false}));
+    EXPECT_FALSE(threw);
     EXPECT_TRUE(r.m.progress().shouldEscalate(0));
 }
 

@@ -168,8 +168,9 @@ TEST_P(NativeLib, RegionStartsZeroedAndCommitsStick)
     runTxn(sh, true, [&](tx_t tx) {
         bool ok;
         const std::uint64_t v = readWord(sh, tx, &words[0], &ok);
-        if (ok)
+        if (ok) {
             EXPECT_EQ(v, 42u);
+        }
         return ok;
     });
 
@@ -221,8 +222,9 @@ TEST_P(NativeLib, AllocatedSegmentsAreZeroedAndWritable)
         auto *w = static_cast<std::uint64_t *>(seg);
         bool ok;
         const std::uint64_t v = readWord(sh, tx, &w[3], &ok);
-        if (ok)
+        if (ok) {
             EXPECT_EQ(v, 7u);
+        }
         if (!ok)
             return false;
         // Free is deferred to tm_destroy; the call itself commits.
@@ -264,8 +266,9 @@ TEST(NativeLibTl2, StaleSnapshotReadAborts)
     runTxn(sh, true, [&](tx_t tx) {
         bool rok;
         const std::uint64_t v = readWord(sh, tx, &words[1], &rok);
-        if (rok)
+        if (rok) {
             EXPECT_EQ(v, 99u);
+        }
         return rok;
     });
 
@@ -513,13 +516,15 @@ TEST_P(NativeLib, ConcurrentCountersAreExactAndSerializable)
     runTxn(sh, true, [&](tx_t tx) {
         bool ok;
         const std::uint64_t total = readWord(sh, tx, &words[0], &ok);
-        if (ok)
+        if (ok) {
             EXPECT_EQ(total, std::uint64_t{kThreads} * kIncrements);
+        }
         for (unsigned t = 0; ok && t < kThreads; ++t) {
             const std::uint64_t mine =
                 readWord(sh, tx, &words[8 + t], &ok);
-            if (ok)
+            if (ok) {
                 EXPECT_EQ(mine, kIncrements) << "thread " << t;
+            }
         }
         return ok;
     });

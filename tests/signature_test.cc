@@ -144,14 +144,6 @@ TEST(SignatureTest, ReadHashStableAndBankSeparated)
     }
 }
 
-TEST(SignatureTest, InsertCountTracksInsertions)
-{
-    Signature sig(2048, 4);
-    for (int i = 0; i < 7; ++i)
-        sig.insert(i * lineBytes);
-    EXPECT_EQ(sig.insertCount(), 7u);
-}
-
 TEST(SignatureTest, EqualityIsBitwise)
 {
     Signature a(2048, 4), b(2048, 4);
