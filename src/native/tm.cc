@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -245,7 +246,24 @@ struct NativeTx
     std::vector<AccessLog::Op> logOps;
 };
 
-struct Region
+/** The GV1 clock on a cache line of its own: every writer commit
+ *  bumps it, and a bump must not invalidate the line that every
+ *  tm_read loads (the simulator's twin is Tl2Globals::clockAddr). */
+struct alignas(64) ClockLine
+{
+    std::atomic<std::uint64_t> value{0};
+};
+static_assert(sizeof(ClockLine) == 64, "the clock must fill its line");
+
+/**
+ * A shared memory region.  Layout is part of the TL2 fast path: the
+ * read-mostly fields, among them all that tm_begin/tm_read/tm_write
+ * load, fill the first cache line (only tm_create and tm_set_logging
+ * write them), the clock sits alone on the next, and the members
+ * that only the global-lock backend, tm_alloc or tm_stats touch come
+ * after it.
+ */
+struct alignas(64) Region
 {
     /** Unique per region for the process lifetime: a new region may
      *  reuse a destroyed one's address, never its serial. */
@@ -255,11 +273,12 @@ struct Region
     std::size_t chunk;  //!< min(align, 8): one Tl2Algo word
     void *start = nullptr;
     std::size_t firstBytes = 0;
-
-    /** GV1 clock (TL2). */
-    std::atomic<std::uint64_t> clock{0};
     /** Stripe lock words (TL2). */
     std::unique_ptr<std::atomic<std::uint64_t>[]> locks;
+    std::atomic<AccessLog *> log{nullptr};
+
+    /** GV1 clock (TL2). */
+    ClockLine clock;
 
     /** The single global lock (GlobalLock backend). */
     std::mutex gl;
@@ -271,8 +290,6 @@ struct Region
      *  concurrent reader can ever touch reused memory. */
     std::mutex segLock;
     std::vector<void *> segments;
-
-    std::atomic<AccessLog *> log{nullptr};
 
     /** One counter block per thread that began a transaction here,
      *  keyed by selfId(); freed with the region. */
@@ -293,17 +310,19 @@ struct Region
         return *counters.back().second;
     }
 };
+static_assert(offsetof(Region, clock) == 64,
+              "the per-call fields must fit the first line");
 
 std::uint64_t
 NativeWorld::sampleClock()
 {
-    return r.clock.load(std::memory_order_acquire);
+    return r.clock.value.load(std::memory_order_acquire);
 }
 
 std::uint64_t
 NativeWorld::bumpClock()
 {
-    return r.clock.fetch_add(2, std::memory_order_acq_rel) + 2;
+    return r.clock.value.fetch_add(2, std::memory_order_acq_rel) + 2;
 }
 
 std::atomic<std::uint64_t> *
@@ -664,7 +683,8 @@ Alloc
 tm_alloc(shared_t shared, tx_t tx, std::size_t size, void **target)
 {
     Region *r = asRegion(shared);
-    liveTx(r, tx);
+    if (liveTx(r, tx).readOnly)
+        die("tm_alloc inside a transaction begun with is_ro=true");
     if (size == 0 || size % r->align != 0)
         return Alloc::nomem;
     void *seg = allocSegment(size, r->align);
@@ -681,7 +701,8 @@ tm_alloc(shared_t shared, tx_t tx, std::size_t size, void **target)
 bool
 tm_free(shared_t shared, tx_t tx, void *)
 {
-    liveTx(asRegion(shared), tx);
+    if (liveTx(asRegion(shared), tx).readOnly)
+        die("tm_free inside a transaction begun with is_ro=true");
     // Deferred: the segment stays registered (and allocated) until
     // tm_destroy, so a transaction that read the segment before the
     // free committed can never touch recycled memory.  Bounded by

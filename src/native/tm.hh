@@ -124,10 +124,11 @@ Backend tm_backend(shared_t shared);
 /**
  * Begin a transaction.  @p is_ro promises the transaction performs
  * no tm_write/tm_alloc/tm_free (read-only TL2 transactions commit
- * without locking).  Never blocks indefinitely; never fails.  After
- * k consecutive aborted attempts on this thread and region, it first
- * spins a random number of cpu-relax pauses in [0, 2^min(k, 10)) -
- * a bounded randomized back-off that keeps conflicting retries from
+ * without locking); each of the three dies on a read-only handle.
+ * Never blocks indefinitely; never fails.  After k consecutive
+ * aborted attempts on this thread and region, it first spins a
+ * random number of cpu-relax pauses in [0, 2^min(k, 10)) - a
+ * bounded randomized back-off that keeps conflicting retries from
  * colliding again at once; a commit resets k.
  */
 tx_t tm_begin(shared_t shared, bool is_ro);

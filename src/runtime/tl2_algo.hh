@@ -226,18 +226,25 @@ class Tl2Algo
         if (writeSet_.empty())
             return Tl2Status::Ok;
 
-        // Acquire stripe locks in lock order (deadlock freedom).
-        // lockBuf_ is a member so the per-commit scratch space is
-        // allocated once per thread, not once per transaction.
+        // Sort the stripe locks into lock order (deadlock freedom)
+        // and the redo log into address order (write-back), both
+        // before the first lock is taken.
         std::vector<LockH> &locks = lockBuf_;
+        std::vector<std::pair<AddrT, WsEntry>> &redo = redoBuf_;
         locks.clear();
-        locks.reserve(writeSet_.size());
-        for (const auto &[a, e] : writeSet_)
+        redo.clear();
+        for (const auto &[a, e] : writeSet_) {
             locks.push_back(w.lockFor(a));
+            redo.emplace_back(a, e);
+        }
         if (locks.size() > 1) {
             std::sort(locks.begin(), locks.end());
             locks.erase(std::unique(locks.begin(), locks.end()),
                         locks.end());
+            std::sort(redo.begin(), redo.end(),
+                      [](const auto &x, const auto &y) {
+                          return x.first < y.first;
+                      });
         }
 
         for (LockH lock : locks) {
@@ -295,9 +302,8 @@ class Tl2Algo
 
         // Write back the redo log in address order and release the
         // stripes with the new version.
-        writeSet_.forEachSorted([&w](AddrT a, const WsEntry &e) {
+        for (const auto &[a, e] : redo)
             w.writeData(a, e.value, e.size);
-        });
         releaseHeld(w, false, wv);
         return Tl2Status::Ok;
     }
@@ -352,8 +358,14 @@ class Tl2Algo
     /** Locks held during commit: (stripe lock, pre-lock word). */
     std::vector<std::pair<LockH, std::uint64_t>> held_;
 
-    /** Commit-scratch: the sorted stripe locks to acquire. */
+    /** @name Commit scratch
+     *  The stripe locks in lock order and the redo log in address
+     *  order.  Members, not locals, so a warmed-up thread commits
+     *  without a heap allocation. */
+    /// @{
     std::vector<LockH> lockBuf_;
+    std::vector<std::pair<AddrT, WsEntry>> redoBuf_;
+    /// @}
 };
 
 } // namespace flextm

@@ -7,25 +7,104 @@
  *
  * Everything here is pure native code - no simulator fibers - so the
  * suite also runs under the tsan preset (label nativetsan) and in the
- * sanitized `fault` net (native_lib_fault).
+ * sanitized `fault` net.
+ *
+ * The binary replaces the global operator new/delete so that a test
+ * can count the heap allocations its own thread makes (HeapCount).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "native/access_log.hh"
 #include "native/tm.hh"
 
+namespace
+{
+
+/** Per-thread heap accounting: operator new counts the calls made by
+ *  a thread while its flag is armed. */
+constinit thread_local bool tCountNews = false;
+constinit thread_local std::uint64_t tNews = 0;
+
+void *
+countedNew(std::size_t n, std::size_t align)
+{
+    if (tCountNews)
+        ++tNews;
+    n = n == 0 ? 1 : n;
+    void *p = align <= alignof(std::max_align_t)
+                  ? std::malloc(n)
+                  : std::aligned_alloc(align,
+                                       (n + align - 1) / align * align);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+} // anonymous namespace
+
+// Every form, not just the two the others default to: a sanitizer
+// runtime defines each form itself, and an unreplaced one would
+// allocate uncounted.
+void *operator new(std::size_t n) { return countedNew(n, 0); }
+void *operator new[](std::size_t n) { return countedNew(n, 0); }
+void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedNew(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedNew(n, static_cast<std::size_t>(a));
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
 namespace flextm::native
 {
 namespace
 {
+
+/** Counts the calling thread's operator new calls while in scope. */
+class HeapCount
+{
+  public:
+    HeapCount()
+    {
+        tNews = 0;
+        tCountNews = true;
+    }
+    ~HeapCount() { tCountNews = false; }
+    std::uint64_t
+    news() const
+    {
+        return tNews;
+    }
+};
 
 /** RAII env var that always restores the pre-test state. */
 class ScopedEnv
@@ -322,6 +401,66 @@ TEST(NativeLibTl2, InvalidatedReadSetFailsCommitValidation)
     tm_destroy(sh);
 }
 
+/** A warmed-up thread runs TL2 transactions without touching the
+ *  heap: read-only ones, and writers whose write sets span several
+ *  stripes, so commit sorts both its stripe locks and its redo log. */
+TEST(NativeLibTl2, WarmTransactionsDoNotAllocate)
+{
+    constexpr unsigned kTxns = 1000;
+    constexpr unsigned kWords = 16;
+    constexpr unsigned kSpan = 4;  // words per transaction
+    shared_t sh = invalid_shared;
+    {
+        // The count must see the library's own allocations, or the
+        // zero below would prove nothing.
+        HeapCount count;
+        sh = tm_create_with(1024, 8, Backend::Tl2);
+        EXPECT_GT(count.news(), 0u);
+    }
+    ASSERT_NE(sh, invalid_shared);
+    auto *words = static_cast<std::uint64_t *>(tm_start(sh));
+
+    // Even i: read kSpan words.  Odd i: add 1 to each of kSpan
+    // adjacent words, which hash to kSpan stripes, so commit runs
+    // both the lock sort and the write-back sort.
+    const auto txn = [&](unsigned i) {
+        const unsigned base = i % kWords;
+        runTxn(sh, i % 2 == 0, [&](tx_t tx) {
+            for (unsigned k = kSpan; k-- > 0;) {
+                std::uint64_t *w = &words[(base + k) % kWords];
+                bool ok;
+                std::uint64_t v = readWord(sh, tx, w, &ok);
+                if (!ok)
+                    return false;
+                ++v;
+                if (i % 2 == 1 && !tm_write(sh, tx, &v, sizeof v, w))
+                    return false;
+            }
+            return true;
+        });
+    };
+
+    for (unsigned i = 0; i < kTxns; ++i)  // warm-up: size every buffer
+        txn(i);
+    std::uint64_t news = 0;
+    {
+        HeapCount count;
+        for (unsigned i = 0; i < kTxns; ++i)
+            txn(i);
+        news = count.news();
+    }
+    EXPECT_EQ(news, 0u);
+
+    // Both rounds' kTxns / 2 writers each added 1 to kSpan words.
+    std::uint64_t sum = 0;
+    for (unsigned k = 0; k < kWords; ++k)
+        sum += words[k];
+    EXPECT_EQ(sum, std::uint64_t{kTxns} * kSpan);
+    EXPECT_EQ(tm_stats(sh).commits, 2u * kTxns);
+
+    tm_destroy(sh);
+}
+
 // ---------------------------------------------------------------
 // Dead handles: one death test per entry point that takes a tx_t.
 // ---------------------------------------------------------------
@@ -448,6 +587,41 @@ TEST_F(NativeLibDeadHandleDeath, FreeAfterCommitIsFatal)
     ASSERT_EQ(tm_alloc(sh, tx, 64, &seg), Alloc::success);
     ASSERT_TRUE(tm_end(sh, tx));
     EXPECT_DEATH(tm_free(sh, tx, seg), "not live");
+}
+
+// ---------------------------------------------------------------
+// Read-only handles: tm_begin(is_ro=true) promises no tm_write,
+// tm_alloc or tm_free, and breaking the promise is fatal.
+// ---------------------------------------------------------------
+
+using NativeLibReadOnlyDeath = NativeLibDeadHandleDeath;
+
+TEST_F(NativeLibReadOnlyDeath, WriteIsFatal)
+{
+    tx_t tx = tm_begin(sh, true);
+    const std::uint64_t v = 7;
+    EXPECT_DEATH(tm_write(sh, tx, &v, 8, &words[0]), "is_ro=true");
+    EXPECT_TRUE(tm_end(sh, tx));
+}
+
+TEST_F(NativeLibReadOnlyDeath, AllocIsFatal)
+{
+    tx_t tx = tm_begin(sh, true);
+    void *seg = nullptr;
+    EXPECT_DEATH(tm_alloc(sh, tx, 64, &seg), "is_ro=true");
+    EXPECT_TRUE(tm_end(sh, tx));
+}
+
+TEST_F(NativeLibReadOnlyDeath, FreeIsFatal)
+{
+    void *seg = nullptr;
+    runTxn(sh, false, [&](tx_t tx) {
+        return tm_alloc(sh, tx, 64, &seg) == Alloc::success;
+    });
+    ASSERT_NE(seg, nullptr);
+    tx_t tx = tm_begin(sh, true);
+    EXPECT_DEATH(tm_free(sh, tx, seg), "is_ro=true");
+    EXPECT_TRUE(tm_end(sh, tx));
 }
 
 TEST_P(NativeLib, ConcurrentCountersAreExactAndSerializable)
