@@ -260,7 +260,7 @@ BENCHMARK(BM_AreaModel);
 void
 BM_ZipfSample(benchmark::State &state)
 {
-    ZipfSampler zipf(2048);
+    ZipfSampler zipf(2048, 2.0);
     Rng rng(1);
     for (auto _ : state)
         benchmark::DoNotOptimize(zipf.sample(rng));

@@ -62,9 +62,8 @@ class TrapHandler
 /** Per-core FlexTM processor/controller state. */
 struct HwContext
 {
-    HwContext(CoreId core, unsigned sig_bits, unsigned sig_hashes)
-        : coreId(core), rsig(sig_bits, sig_hashes),
-          wsig(sig_bits, sig_hashes)
+    HwContext(CoreId core, unsigned sig_bits)
+        : coreId(core), rsig(sig_bits), wsig(sig_bits)
     {
     }
 

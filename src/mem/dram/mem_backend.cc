@@ -49,7 +49,7 @@ makeMemBackend(const MachineConfig &cfg, StatRegistry &stats)
 {
     switch (cfg.memBackend) {
       case MemBackendKind::Fixed:
-        return std::make_unique<FixedBackend>(cfg);
+        return std::make_unique<FixedBackend>();
       case MemBackendKind::Dram:
         validateDramConfig(cfg.dram);
         return std::make_unique<DramBackend>(cfg, stats);

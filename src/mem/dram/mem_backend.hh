@@ -12,7 +12,8 @@
  *
  * Two implementations:
  *  - FixedBackend: the paper's Table 3a abstraction - a flat
- *    memLatency per fill and free (posted, uncontended) writebacks.
+ *    250-cycle latency per fill and free (posted, uncontended)
+ *    writebacks.
  *    This is the default and the model every determinism golden and
  *    BENCH_sim baseline is recorded against.
  *  - DramBackend (dram_backend.hh): the banked DRAM model.
@@ -60,19 +61,14 @@ class MemBackend
 class FixedBackend final : public MemBackend
 {
   public:
-    explicit FixedBackend(const MachineConfig &cfg)
-        : latency_(cfg.memLatency)
-    {
-    }
+    /** Main memory access latency (Table 3a: 250 cycles). */
+    static constexpr Cycles memLatency = 250;
 
-    Cycles read(Addr, Cycles) override { return latency_; }
+    Cycles read(Addr, Cycles) override { return memLatency; }
     /** Free: the legacy engine never charged off-chip writebacks,
      *  and the determinism goldens pin that behaviour. */
     Cycles write(Addr, Cycles) override { return 0; }
     const char *name() const override { return "fixed"; }
-
-  private:
-    Cycles latency_;
 };
 
 /**

@@ -22,8 +22,7 @@ namespace flextm
 class Interconnect
 {
   public:
-    Interconnect(unsigned cores, unsigned radix, Cycles link_latency)
-        : linkLatency_(link_latency)
+    explicit Interconnect(unsigned cores)
     {
         depth_ = 0;
         unsigned reach = 1;
@@ -42,7 +41,7 @@ class Interconnect
     Cycles
     l1ToL2() const
     {
-        return depth_ * linkLatency_;
+        return depth_ * linkLatency;
     }
 
     /** Round trip L1 -> L2 -> L1 (request/response). */
@@ -60,8 +59,12 @@ class Interconnect
     }
 
   private:
+    /** Tree fan-out (Table 3a: 4-ary tree). */
+    static constexpr unsigned radix = 4;
+    /** Per-link latency (Table 3a: 1-cycle links). */
+    static constexpr Cycles linkLatency = 1;
+
     unsigned depth_;
-    Cycles linkLatency_;
 };
 
 } // namespace flextm

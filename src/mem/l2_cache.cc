@@ -5,10 +5,9 @@
 namespace flextm
 {
 
-L2Cache::L2Cache(std::size_t bytes, unsigned ways, unsigned banks)
-    : ways_(ways), banks_(banks)
+L2Cache::L2Cache(std::size_t bytes, unsigned ways) : ways_(ways)
 {
-    sim_assert(ways >= 1 && banks >= 1);
+    sim_assert(ways >= 1);
     numSets_ = static_cast<unsigned>(bytes / (lineBytes * ways));
     sim_assert(numSets_ >= 1 && (numSets_ & (numSets_ - 1)) == 0,
                "L2 set count must be a power of two");
@@ -27,12 +26,6 @@ unsigned
 L2Cache::setIndex(Addr addr) const
 {
     return static_cast<unsigned>(lineNumber(addr)) & (numSets_ - 1);
-}
-
-unsigned
-L2Cache::bank(Addr addr) const
-{
-    return static_cast<unsigned>(lineNumber(addr)) % banks_;
 }
 
 L2Line *

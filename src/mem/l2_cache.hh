@@ -1,7 +1,9 @@
 /**
  * @file
- * Shared L2 with an in-tag directory (Table 3a: 8 MB, 8-way, 4 banks;
- * Figure 2: "Shared L2$ Tag | State | Sharer List | Data").
+ * Shared L2 with an in-tag directory (Table 3a: 8 MB, 8-way; Figure
+ * 2: "Shared L2$ Tag | State | Sharer List | Data").  Table 3a's four
+ * L2 banks are not modelled: every L2 access costs the same 20-cycle
+ * hit latency, whichever bank would have served it.
  *
  * The directory is an adaptation of the SGI Origin 2000 scheme with
  * FlexTM's one modification (Section 3.3): support for *multiple
@@ -68,7 +70,7 @@ struct L2Line
 class L2Cache
 {
   public:
-    L2Cache(std::size_t bytes, unsigned ways, unsigned banks);
+    L2Cache(std::size_t bytes, unsigned ways);
 
     L2Line *find(Addr addr, Cycles now);
     L2Line *probe(Addr addr);
@@ -83,15 +85,11 @@ class L2Cache
     template <typename Evict>
     L2Line &allocate(Addr addr, Cycles now, Evict &&evict);
 
-    /** Bank servicing @p addr (latency is uniform; kept for stats). */
-    unsigned bank(Addr addr) const;
-
     unsigned sets() const { return numSets_; }
 
   private:
     unsigned numSets_;
     unsigned ways_;
-    unsigned banks_;
     /** Set frames, allocated on first touch: an 8 MB L2 is ~14 MB of
      *  line metadata, and zero-initializing all of it up front
      *  dominates Machine construction in sweeps whose workloads touch

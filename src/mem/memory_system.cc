@@ -11,6 +11,13 @@ namespace flextm
 namespace
 {
 
+/** L1 hit latency (Table 3a: 1 cycle). */
+constexpr Cycles l1HitLatency = 1;
+
+/** L2 hit latency (Table 3a: 20 cycles).  The L2's banks are not
+ *  modelled, so every L2 access costs this. */
+constexpr Cycles l2HitLatency = 20;
+
 constexpr std::uint64_t
 bit(CoreId c)
 {
@@ -73,8 +80,8 @@ MemorySystem::MemorySystem(const MachineConfig &cfg, SimMemory &mem,
                            StatRegistry &stats)
     : cfg_(cfg), mem_(mem), contexts_(contexts), stats_(stats),
       ctr_(stats),
-      net_(cfg.cores, cfg.interconnectRadix, cfg.linkLatency),
-      l2_(cfg.l2Bytes, cfg.l2Ways, cfg.l2Banks),
+      net_(cfg.cores),
+      l2_(cfg.l2Bytes, cfg.l2Ways),
       membe_(makeMemBackend(cfg_, stats))
 {
     sim_assert(cfg.cores <= maxCstCores);
@@ -88,7 +95,7 @@ MemorySystem::MemorySystem(const MachineConfig &cfg, SimMemory &mem,
     retiredOt_.resize(cfg.cores);
     // OT lives in (cached) virtual memory: model one controller
     // access as an L2-class access plus the tree traversal.
-    otLatency_ = cfg.l2HitLatency + net_.l1ToL2RoundTrip();
+    otLatency_ = l2HitLatency + net_.l1ToL2RoundTrip();
     if (cfg_.auditor != AuditLevel::Off)
         auditor_ = std::make_unique<StateAuditor>(cfg_, *this);
 }
@@ -438,7 +445,7 @@ MemorySystem::dirTransaction(CoreId core, ReqType req_type, Addr addr,
                              Cycles now)
 {
     DirOutcome out;
-    out.latency = net_.l1ToL2RoundTrip() + cfg_.l2HitLatency;
+    out.latency = net_.l1ToL2RoundTrip() + l2HitLatency;
     ++ctr_.dirRequests;
     FTRACE(Protocol, now, "core%u %s 0x%llx", core,
            reqTypeName(req_type), (unsigned long long)lineAlign(addr));
@@ -477,7 +484,6 @@ MemorySystem::dirTransaction(CoreId core, ReqType req_type, Addr addr,
 
     if (targets) {
         out.latency += net_.forwardRoundTrip() + 1;
-        out.fwd.anyForward = true;
         ++ctr_.dirForwards;
 
         ConflictSummaryTable::forEach(targets, [&](CoreId k) {
@@ -550,7 +556,7 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
     L1Cache &l1 = *l1s_[core];
 
     MemResult res;
-    res.latency = cfg_.l1HitLatency;
+    res.latency = l1HitLatency;
 
     // Fault injection: evict a speculative line before the access so
     // the overflow-table spill/refill path is exercised under load
@@ -777,7 +783,7 @@ MemorySystem::casImpl(CoreId core, Addr addr, std::uint64_t expected,
     sim_assert(size == 4 || size == 8);
     L1Cache &l1 = *l1s_[core];
     CasOutcome out;
-    out.latency = cfg_.l1HitLatency + 2;  // rmw sequencing
+    out.latency = l1HitLatency + 2;  // rmw sequencing
 
     L1Line *line = l1.find(addr, now);
     if (!line || (line->state != LineState::M &&
@@ -817,7 +823,7 @@ MemorySystem::casCommitImpl(CoreId core, Addr tsw_addr,
 {
     HwContext &ctx = contexts_[core];
     CommitResult res;
-    res.latency = cfg_.l1HitLatency;
+    res.latency = l1HitLatency;
 
     // Hardware check: commit is illegal while unresolved write
     // conflicts remain in the CSTs (Section 3.6).  RTM-F style
@@ -881,7 +887,7 @@ MemorySystem::abortTxImpl(CoreId core, Cycles now)
     if (ctx.ot)
         ctx.ot->clear();
     ++ctr_.abortFlash;
-    return cfg_.l1HitLatency;
+    return l1HitLatency;
 }
 
 Cycles
@@ -926,7 +932,7 @@ Cycles
 MemorySystem::flushTransactionalStateImpl(CoreId core, Cycles now)
 {
     (void)now;
-    Cycles lat = cfg_.l1HitLatency;
+    Cycles lat = l1HitLatency;
     unsigned spilled = 0;
     l1s_[core]->forEachValid([&](L1Line &l) {
         if (l.state == LineState::TMI) {

@@ -202,7 +202,6 @@ class MemorySystem
     {
         std::uint64_t threatened = 0;
         std::uint64_t exposedRead = 0;
-        bool anyForward = false;
     };
 
     /** Everything dirTransaction() reports back to access(). */

@@ -13,7 +13,6 @@
 
 #include "native/access_log.hh"
 #include "runtime/tl2_algo.hh"
-#include "sim/env_util.hh"
 
 namespace flextm::native
 {
@@ -26,17 +25,6 @@ die(const char *msg)
 {
     std::fprintf(stderr, "libflextm: fatal: %s\n", msg);
     std::abort();
-}
-
-/** Same stripe geometry as the simulated runtime: 2^16 lock words,
- *  Fibonacci-hashed 8-byte granules. */
-constexpr unsigned kLockBits = 16;
-constexpr std::size_t kLockCount = std::size_t{1} << kLockBits;
-
-std::size_t
-stripeFor(std::uintptr_t a)
-{
-    return ((a >> 3) * 2654435761ULL) & (kLockCount - 1);
 }
 
 /**
@@ -328,7 +316,7 @@ NativeWorld::bumpClock()
 std::atomic<std::uint64_t> *
 NativeWorld::lockFor(std::uintptr_t a)
 {
-    return &r.locks[stripeFor(a)];
+    return &r.locks[tl2StripeFor(a)];
 }
 
 /** The per-thread transaction-slot cache, keyed by region serial.
@@ -478,8 +466,8 @@ tm_create_with(std::size_t size, std::size_t align, Backend backend)
     r->segments.push_back(r->start);
     if (backend == Backend::Tl2) {
         r->locks =
-            std::make_unique<std::atomic<std::uint64_t>[]>(kLockCount);
-        for (std::size_t i = 0; i < kLockCount; ++i)
+            std::make_unique<std::atomic<std::uint64_t>[]>(kTl2Stripes);
+        for (std::size_t i = 0; i < kTl2Stripes; ++i)
             r->locks[i].store(0, std::memory_order_relaxed);
     }
     return r.release();
@@ -488,11 +476,7 @@ tm_create_with(std::size_t size, std::size_t align, Backend backend)
 shared_t
 tm_create(std::size_t size, std::size_t align)
 {
-    const int choice =
-        env::choiceOr("FLEXTM_NATIVE_BACKEND", {"tl2", "gl"});
-    return tm_create_with(size, align,
-                          choice == 1 ? Backend::GlobalLock
-                                      : Backend::Tl2);
+    return tm_create_with(size, align, Backend::Tl2);
 }
 
 void
@@ -520,12 +504,6 @@ std::size_t
 tm_align(shared_t shared)
 {
     return asRegion(shared)->align;
-}
-
-Backend
-tm_backend(shared_t shared)
-{
-    return asRegion(shared)->backend;
 }
 
 Stats
@@ -613,10 +591,10 @@ tm_read(shared_t shared, tx_t tx, const void *source,
     Region *r = asRegion(shared);
     NativeTx &t = liveTx(r, tx);
     const std::size_t chunk = r->chunk;
-    if (size % chunk != 0)
-        die("tm_read size is not a multiple of the alignment");
     auto src = reinterpret_cast<std::uintptr_t>(source);
     auto dst = static_cast<char *>(target);
+    if (((src | size) & (r->align - 1)) != 0)
+        die("tm_read address or size is not a multiple of the alignment");
 
     if (r->backend == Backend::GlobalLock) {
         std::memcpy(target, source, size);
@@ -653,10 +631,10 @@ tm_write(shared_t shared, tx_t tx, const void *source,
     if (t.readOnly)
         die("tm_write inside a transaction begun with is_ro=true");
     const std::size_t chunk = r->chunk;
-    if (size % chunk != 0)
-        die("tm_write size is not a multiple of the alignment");
     auto src = static_cast<const char *>(source);
     auto dst = reinterpret_cast<std::uintptr_t>(target);
+    if (((dst | size) & (r->align - 1)) != 0)
+        die("tm_write address or size is not a multiple of the alignment");
 
     if (r->backend == Backend::GlobalLock) {
         std::memcpy(target, source, size);

@@ -92,16 +92,15 @@ struct Stats
 };
 
 /**
- * Create a shared region whose first segment has @p size bytes and
- * whose accesses are @p align-aligned (power of two; every
- * tm_read/tm_write size and address offset must be a multiple of
- * it).  The segment is zero-initialized.  The backend comes from
- * FLEXTM_NATIVE_BACKEND ("tl2" / "gl"; default tl2).  Returns
+ * Create a TL2 shared region whose first segment has @p size bytes
+ * and whose accesses are @p align-aligned (power of two; every
+ * tm_read/tm_write size and address must be a multiple of it, or the
+ * call dies).  The segment is zero-initialized.  Returns
  * invalid_shared on bad arguments or allocation failure.
  */
 shared_t tm_create(std::size_t size, std::size_t align);
 
-/** tm_create with an explicit backend (tests, the grader). */
+/** tm_create with an explicit backend. */
 shared_t tm_create_with(std::size_t size, std::size_t align,
                         Backend backend);
 
@@ -118,8 +117,6 @@ std::size_t tm_size(shared_t shared);
 
 /** Alignment of the region, in bytes. */
 std::size_t tm_align(shared_t shared);
-
-Backend tm_backend(shared_t shared);
 
 /**
  * Begin a transaction.  @p is_ro promises the transaction performs

@@ -17,7 +17,6 @@
 #ifndef FLEXTM_NATIVE_WORKLOAD_TRACE_HH
 #define FLEXTM_NATIVE_WORKLOAD_TRACE_HH
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -57,42 +56,6 @@ struct TraceParams
     double theta = 0.8;       //!< Zipf skew (0 = uniform)
 };
 
-/** Zipf(theta) CDF over {0..n-1}: p(i) proportional to 1/(i+1)^theta. */
-class ZipfCdf
-{
-  public:
-    ZipfCdf(std::uint32_t n, double theta)
-    {
-        cdf_.reserve(n);
-        double sum = 0.0;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
-            cdf_.push_back(sum);
-        }
-        for (double &c : cdf_)
-            c /= sum;
-    }
-
-    std::uint32_t
-    sample(Rng &rng) const
-    {
-        const double u = rng.nextDouble();
-        std::uint32_t lo = 0, hi =
-            static_cast<std::uint32_t>(cdf_.size() - 1);
-        while (lo < hi) {
-            const std::uint32_t mid = lo + (hi - lo) / 2;
-            if (cdf_[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
-    }
-
-  private:
-    std::vector<double> cdf_;
-};
-
 inline WorkloadTrace
 makeZipfianTrace(const TraceParams &p)
 {
@@ -100,7 +63,7 @@ makeZipfianTrace(const TraceParams &p)
     tr.threads = p.threads;
     tr.words = p.words;
     tr.perThread.resize(p.threads);
-    const ZipfCdf zipf(p.words, p.theta);
+    const ZipfSampler zipf(p.words, p.theta);
     for (unsigned t = 0; t < p.threads; ++t) {
         Rng rng(p.seed * 0x9e3779b97f4a7c15ULL + t + 1);
         auto &stream = tr.perThread[t];
@@ -111,7 +74,7 @@ makeZipfianTrace(const TraceParams &p)
             for (unsigned o = 0; o < p.opsPerTxn; ++o) {
                 TraceOp op;
                 op.isWrite = rng.percent(p.writePct);
-                op.word = zipf.sample(rng);
+                op.word = static_cast<std::uint32_t>(zipf.sample(rng));
                 // A distinctive, collision-free value: which thread
                 // wrote it, in which txn, at which op.
                 op.value = (std::uint64_t{t + 1} << 48) |

@@ -9,8 +9,7 @@ namespace flextm
 
 TxOs::TxOs(Machine &m, FlexTmGlobals &globals)
     : m_(m), g_(globals),
-      rssig_(m.config().signatureBits, m.config().signatureHashes),
-      wssig_(m.config().signatureBits, m.config().signatureHashes)
+      rssig_(m.config().signatureBits), wssig_(m.config().signatureBits)
 {
     m_.memsys().setOs(this);
     g_.os = this;

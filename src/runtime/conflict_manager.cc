@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "mem/memory_system.hh"
 #include "runtime/tx_thread.hh"
 #include "sim/auditor.hh"
-#include "sim/env_util.hh"
 #include "sim/logging.hh"
 #include "sim/progress.hh"
 
@@ -33,38 +30,6 @@ cmPolicyName(CmPolicy p)
         return "SerialIrrevocableFirst";
     }
     return "?";
-}
-
-CmPolicy
-envCmPolicy(CmPolicy fallback)
-{
-    // Synonym spellings stay accepted; anything else is fatal rather
-    // than a warn-and-fallback (a policy sweep that silently reran
-    // polka six times looked healthy and measured nothing).
-    switch (env::choiceOr("FLEXTM_CM_POLICY",
-                          {"polka", "aggressive", "timid", "timestamp",
-                           "timestamp-greedy", "randomized",
-                           "randomized-backoff", "backoff", "serial",
-                           "serial-irrevocable-first"})) {
-      case 0:
-        return CmPolicy::Polka;
-      case 1:
-        return CmPolicy::Aggressive;
-      case 2:
-        return CmPolicy::Timid;
-      case 3:
-      case 4:
-        return CmPolicy::TimestampGreedy;
-      case 5:
-      case 6:
-      case 7:
-        return CmPolicy::RandomizedBackoff;
-      case 8:
-      case 9:
-        return CmPolicy::SerialIrrevocableFirst;
-      default:
-        return fallback;
-    }
 }
 
 CmPolicyBase::~CmPolicyBase() = default;

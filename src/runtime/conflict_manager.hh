@@ -9,7 +9,7 @@
  * management-policy interplay as future work; this file is that
  * study's substrate.  Every runtime routes its arbitration decisions
  * through the machine-wide CmPolicyBase object (selected by
- * MachineConfig::cmPolicy / FLEXTM_CM_POLICY) via the CmEnemy
+ * MachineConfig::cmPolicy) via the CmEnemy
  * contract, so policies compose with all seven runtimes:
  *
  *  - resolve()        arbitration against one CmEnemy (FlexTM eager
@@ -81,10 +81,6 @@ class CmEnemy
 };
 
 const char *cmPolicyName(CmPolicy p);
-
-/** FLEXTM_CM_POLICY override:
- *  polka / aggressive / timid / timestamp / randomized / serial. */
-CmPolicy envCmPolicy(CmPolicy fallback);
 
 /**
  * One contention-management policy.  Policies are stateless (all

@@ -53,7 +53,7 @@ HyTmGlobals::HyTmGlobals(Machine &m)
 HyTmThread::HyTmThread(Machine &m, HyTmGlobals &g, ThreadId tid,
                        CoreId core)
     : Tl2Thread(m, g.tl2, tid, core), hg_(g),
-      emergencyOt_(m.config().signatureBits, m.config().signatureHashes)
+      emergencyOt_(m.config().signatureBits)
 {
     // The TSW occupies its own cache line so CAS-Commit never aliases
     // with data.

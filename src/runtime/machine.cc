@@ -10,24 +10,16 @@ Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), mem_(cfg.memoryBytes), progress_(cfg.progress, stats_)
 {
     sched_.setWatchdog(&progress_);
-    sched_.setStackBytes(cfg_.fiberStackKiB * 1024);
     contexts_.reserve(cfg_.cores);
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        contexts_.emplace_back(static_cast<CoreId>(c),
-                               cfg_.signatureBits,
-                               cfg_.signatureHashes);
-    }
+    for (unsigned c = 0; c < cfg_.cores; ++c)
+        contexts_.emplace_back(static_cast<CoreId>(c), cfg_.signatureBits);
     // Environment override so existing harnesses (fuzz, fault sweep,
     // goldens) can be audited without a config plumbing change:
-    // FLEXTM_AUDITOR=off|switch|txn|transition.
+    // FLEXTM_AUDITOR=off|txn|transition.
     cfg_.auditor = envAuditLevel(cfg_.auditor);
     // Same idea for the main-memory timing backend:
     // FLEXTM_MEM_BACKEND=fixed|dram.
     cfg_.memBackend = envMemBackend(cfg_.memBackend);
-    // And for the contention-management policy:
-    // FLEXTM_CM_POLICY=polka|aggressive|timid|timestamp|randomized|
-    // serial.
-    cfg_.cmPolicy = envCmPolicy(cfg_.cmPolicy);
     cmPolicy_ = &cmPolicyFor(cfg_.cmPolicy);
     memsys_ =
         std::make_unique<MemorySystem>(cfg_, mem_, contexts_, stats_);

@@ -67,8 +67,8 @@ class Machine
     ProgressManager &progress() { return progress_; }
 
     /** The machine-wide contention-management policy object
-     *  (MachineConfig::cmPolicy after the FLEXTM_CM_POLICY
-     *  override; a stateless process-wide singleton). */
+     *  (MachineConfig::cmPolicy; a stateless process-wide
+     *  singleton). */
     CmPolicyBase &cmPolicy() { return *cmPolicy_; }
 
     /** @name Run deadline

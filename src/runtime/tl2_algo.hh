@@ -58,6 +58,7 @@
 #define FLEXTM_RUNTIME_TL2_ALGO_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -87,6 +88,20 @@ inline std::uint64_t
 tl2MakeLockWord(std::uint64_t owner)
 {
     return (owner << 1) | 1;
+}
+/// @}
+
+/** @name TL2 stripe map (shared by both worlds)
+ *  2^16 lock words; an address's 8-byte granule picks its stripe by
+ *  Fibonacci hashing.  native_equiv_test relies on the two worlds
+ *  mapping every address to the same stripe. */
+/// @{
+constexpr std::size_t kTl2Stripes = std::size_t{1} << 16;
+
+inline std::size_t
+tl2StripeFor(std::uint64_t a)
+{
+    return ((a >> 3) * 2654435761ULL) & (kTl2Stripes - 1);
 }
 /// @}
 

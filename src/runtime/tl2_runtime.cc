@@ -10,16 +10,13 @@ namespace flextm
 Tl2Globals::Tl2Globals(Machine &machine) : m(machine)
 {
     clockAddr = m.memory().allocate(lineBytes, lineBytes);
-    lockCount = 1u << 16;
-    lockTableBase =
-        m.memory().allocate(std::size_t{lockCount} * 8, lineBytes);
+    lockTableBase = m.memory().allocate(kTl2Stripes * 8, lineBytes);
 }
 
 Addr
 Tl2Globals::lockFor(Addr a) const
 {
-    const std::uint64_t stripe = (a >> 3) * 2654435761ULL;
-    return lockTableBase + (stripe & (lockCount - 1)) * 8;
+    return lockTableBase + tl2StripeFor(a) * 8;
 }
 
 Tl2Thread::Tl2Thread(Machine &m, Tl2Globals &g, ThreadId tid,

@@ -30,8 +30,7 @@ struct Tl2Globals
 
     Machine &m;
     Addr clockAddr;        //!< global version clock (8 bytes)
-    Addr lockTableBase;    //!< stripe lock words
-    unsigned lockCount;    //!< power of two
+    Addr lockTableBase;    //!< kTl2Stripes stripe lock words
 
     /** Lock word for the stripe covering address @p a. */
     Addr lockFor(Addr a) const;

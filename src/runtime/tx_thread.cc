@@ -415,7 +415,7 @@ TxThread::txn(const std::function<void()> &body)
 TxThread::TswTx::TswTx(TxThread &self, Addr tsw,
                        std::vector<Addr> &tsw_of,
                        std::vector<std::uint64_t> &karma)
-    : ot(self.m_.config().signatureBits, self.m_.config().signatureHashes),
+    : ot(self.m_.config().signatureBits),
       self_(self), tsw_(tsw), tswOf_(tsw_of), karma_(karma)
 {
 }

@@ -47,15 +47,12 @@ toHex(std::uint64_t v)
 AuditLevel
 envAuditLevel(AuditLevel fallback)
 {
-    switch (env::choiceOr("FLEXTM_AUDITOR",
-                          {"off", "switch", "txn", "transition"})) {
+    switch (env::choiceOr("FLEXTM_AUDITOR", {"off", "txn", "transition"})) {
       case 0:
         return AuditLevel::Off;
       case 1:
-        return AuditLevel::SwitchOnly;
-      case 2:
         return AuditLevel::TxnBoundary;
-      case 3:
+      case 2:
         return AuditLevel::Transition;
       default:
         return fallback;
@@ -271,8 +268,6 @@ StateAuditor::required(AuditScope scope) const
     switch (level_) {
       case AuditLevel::Off:
         return false;
-      case AuditLevel::SwitchOnly:
-        return scope == AuditScope::Switch;
       case AuditLevel::TxnBoundary:
         return scope != AuditScope::Transition;
       case AuditLevel::Transition:

@@ -111,7 +111,7 @@ struct AuditViolation
     Addr addr = 0;
 };
 
-/** FLEXTM_AUDITOR override: off / switch / txn / transition. */
+/** FLEXTM_AUDITOR override: off / txn / transition. */
 AuditLevel envAuditLevel(AuditLevel fallback);
 
 class StateAuditor

@@ -2,7 +2,12 @@
  * @file
  * Machine configuration (defaults follow Table 3a of the paper:
  * 16-way CMP, private 32 KB 2-way L1s, shared 8 MB 8-way L2, 64-byte
- * blocks, 2 Kbit signatures, 4-ary tree interconnect).
+ * blocks, 2 Kbit signatures).  Only what some run varies is a field
+ * here.  The Table 3a values no run varies are constants beside
+ * their one reader: the 1-cycle L1 and 20-cycle L2 hit latencies
+ * (MemorySystem), the 250-cycle memory latency (FixedBackend), the
+ * 4-ary tree's 1-cycle links (Interconnect), and the signatures' 4
+ * hash functions (Signature's default).
  */
 
 #ifndef FLEXTM_SIM_CONFIG_HH
@@ -92,9 +97,9 @@ enum class CmPolicy : unsigned
 /** Which timing model sits behind the L2 (src/mem/dram/). */
 enum class MemBackendKind : unsigned
 {
-    /** Flat memLatency per fill, free writebacks (the paper's Table
-     *  3a abstraction; the default, and the one all determinism
-     *  goldens are recorded against). */
+    /** Flat 250-cycle latency per fill, free writebacks (the
+     *  paper's Table 3a abstraction; the default, and the one all
+     *  determinism goldens are recorded against). */
     Fixed = 0,
     /** Banked DRAM model: address-mapped channels/ranks/banks, per-
      *  bank row-buffer state machines, an FR-FCFS command queue with
@@ -157,8 +162,7 @@ struct DramConfig
 enum class AuditLevel : unsigned
 {
     Off = 0,        //!< auditor not constructed (zero overhead)
-    SwitchOnly,     //!< sweep at OS suspend/resume only
-    TxnBoundary,    //!< + sweep at every commit/abort
+    TxnBoundary,    //!< sweep at every commit/abort and OS switch
     Transition,     //!< + sweep after every protocol transaction
 };
 
@@ -171,19 +175,12 @@ struct MachineConfig
     /** Private L1 data cache geometry. */
     std::size_t l1Bytes = 32 * 1024;
     unsigned l1Ways = 2;
-    Cycles l1HitLatency = 1;
     /** Victim buffer entries appended to the L1 (Table 3a: 32). */
     unsigned victimEntries = 32;
 
     /** Shared L2 geometry. */
     std::size_t l2Bytes = 8 * 1024 * 1024;
     unsigned l2Ways = 8;
-    unsigned l2Banks = 4;
-    Cycles l2HitLatency = 20;
-
-    /** Main memory access latency (Table 3a: 250 cycles); used by
-     *  the Fixed backend only. */
-    Cycles memLatency = 250;
 
     /** Which main-memory timing model backs the L2 miss path and
      *  dirty-L2 writebacks (the FLEXTM_MEM_BACKEND environment
@@ -192,10 +189,6 @@ struct MachineConfig
 
     /** Banked-DRAM backend geometry/timing (Dram mode only). */
     DramConfig dram;
-
-    /** Per-link latency of the 4-ary tree interconnect. */
-    Cycles linkLatency = 1;
-    unsigned interconnectRadix = 4;
 
     /** @name Bounded best-effort HTM (the HyTM runtime)
      *
@@ -219,8 +212,6 @@ struct MachineConfig
 
     /** Bloom signature width in bits (Table 3a: 2 Kbit). */
     unsigned signatureBits = 2048;
-    /** Number of independent hash functions / banks. */
-    unsigned signatureHashes = 4;
 
     /** Seed for all deterministic randomness in the machine. */
     std::uint64_t seed = 1;
@@ -233,16 +224,6 @@ struct MachineConfig
     /** Simulated memory image size. */
     std::size_t memoryBytes = 256u << 20;
 
-    /**
-     * Fiber stack per simulated thread, in KiB.  The default is
-     * generous (deep runtime + oracle frames plus sanitizer
-     * redzones); sweeps spawning 64-core machines across many
-     * workers can shrink it.  Values below 64 KiB are rejected
-     * (Scheduler::kMinStackBytes - enough headroom that a guard
-     * page under the stack would catch overflow before corruption).
-     */
-    std::size_t fiberStackKiB = 512;
-
     /** Fault-injection plan (all off by default). */
     FaultConfig fault;
 
@@ -253,8 +234,7 @@ struct MachineConfig
     /** Forward-progress policy (escalation on by default). */
     ProgressConfig progress;
 
-    /** Machine-wide contention-management policy (the
-     *  FLEXTM_CM_POLICY environment variable can override). */
+    /** Machine-wide contention-management policy. */
     CmPolicy cmPolicy = CmPolicy::Polka;
 };
 

@@ -2,15 +2,15 @@
  * @file
  * Strict FLEXTM_* environment-variable parsing.
  *
- * Every knob the simulator and the native library read from the
- * environment goes through these helpers.  The contract is uniform:
- * an unset or empty variable keeps the configured fallback, and
- * anything else must parse completely and land in range - garbage,
- * trailing junk, overflow, or an unknown keyword is a user error
- * reported through fatal() with the variable name, the offending
- * value, and what would have been accepted.  Silently falling back
+ * Every knob the simulator reads from the environment goes through
+ * these helpers.  The contract is uniform: an unset or empty
+ * variable keeps the configured fallback, and anything else must
+ * parse completely and land in range - garbage, trailing junk,
+ * overflow, or an unknown keyword is a user error reported through
+ * fatal() with the variable name, the offending value, and what
+ * would have been accepted.  Silently falling back
  * (the old behaviour at most sites) turned typos like
- * FLEXTM_JOBS=1O or FLEXTM_CM_POLICY=polkka into hours of confusion:
+ * FLEXTM_JOBS=1O or FLEXTM_AUDITOR=txnn into hours of confusion:
  * the run proceeds, just not the run that was asked for.
  */
 

@@ -226,24 +226,6 @@ class FlatMap
             fn(slots_[i].key, slots_[i].value);
     }
 
-    /** Mutable-value variant of forEachSorted. */
-    template <typename F>
-    void
-    forEachSortedMut(F &&fn)
-    {
-        std::vector<std::size_t> idx;
-        idx.reserve(size_);
-        for (std::size_t i = 0; i < states_.size(); ++i)
-            if (states_[i] == State::Full)
-                idx.push_back(i);
-        std::sort(idx.begin(), idx.end(),
-                  [this](std::size_t a, std::size_t b) {
-                      return slots_[a].key < slots_[b].key;
-                  });
-        for (std::size_t i : idx)
-            fn(slots_[i].key, slots_[i].value);
-    }
-
   private:
     static constexpr std::size_t kMinCapacity = 16;
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);

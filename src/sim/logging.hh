@@ -6,8 +6,6 @@
  *            FlexTM itself); aborts.
  * fatal()  - the simulation cannot continue because of a user error
  *            (bad configuration, invalid arguments); exits cleanly.
- * warn()   - something questionable happened but simulation continues.
- * inform() - status messages.
  */
 
 #ifndef FLEXTM_SIM_LOGGING_HH
@@ -26,11 +24,6 @@ namespace flextm
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
 
-void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-void informImpl(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 [[noreturn]] void assertFail(const char *file, int line,
                              const char *cond, const char *fmt, ...)
     __attribute__((format(printf, 4, 5)));
@@ -42,10 +35,6 @@ void informImpl(const char *fmt, ...)
 
 #define fatal(...) \
     ::flextm::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-
-#define sim_warn(...) ::flextm::warnImpl(__VA_ARGS__)
-
-#define sim_inform(...) ::flextm::informImpl(__VA_ARGS__)
 
 /**
  * Simulator-internal assertion: like assert() but always compiled in

@@ -75,14 +75,13 @@ Rng::percent(unsigned pct)
     return nextInt(100) < pct;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n)
+ZipfSampler::ZipfSampler(std::size_t n, double theta)
 {
     sim_assert(n > 0);
     cdf_.resize(n);
     double acc = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const double j = static_cast<double>(i + 1);
-        acc += 1.0 / (j * j);
+        acc += 1.0 / std::pow(static_cast<double>(i + 1), theta);
         cdf_[i] = acc;
     }
     for (auto &c : cdf_)

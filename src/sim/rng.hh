@@ -1,13 +1,15 @@
 /**
  * @file
  * Deterministic random-number generation for the simulator: a
- * xoshiro256** engine plus the Zipf sampler used by the LFUCache
- * workload (Table 3b: p(i) proportional to sum_{0<j<=i} j^-2).
+ * xoshiro256** engine plus the Zipf(theta) sampler used by the
+ * LFUCache workload (Table 3b: theta 2, p(i) proportional to
+ * sum_{0<j<=i} j^-2) and by the native Zipfian traces.
  */
 
 #ifndef FLEXTM_SIM_RNG_HH
 #define FLEXTM_SIM_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,15 +46,16 @@ class Rng
 };
 
 /**
- * Zipf-like sampler over {0, ..., n-1} with cumulative weights
- * proportional to sum_{0<j<=i+1} j^-2, matching the LFUCache page
- * selector in the paper.  Sampling is O(log n) by binary search over
- * the precomputed CDF.
+ * Zipf(theta) sampler over {0, ..., n-1}: value i has weight
+ * 1/(i+1)^theta, so its cumulative weight is sum_{0<j<=i+1} j^-theta
+ * (theta 2 is the LFUCache page selector in the paper; theta 0 is
+ * uniform).  Sampling is O(log n) by binary search over the
+ * precomputed CDF.
  */
 class ZipfSampler
 {
   public:
-    explicit ZipfSampler(std::size_t n);
+    ZipfSampler(std::size_t n, double theta);
 
     /** Draw one value in [0, n). */
     std::size_t sample(Rng &rng) const;

@@ -105,54 +105,48 @@ Histogram::percentile(double p) const
     return valueAtRank(std::min(idx, count_ - 1));
 }
 
-StatHandle
-StatRegistry::counterHandle(std::string_view name)
+namespace
 {
-    auto it = index_.find(name);
-    if (it != index_.end())
-        return it->second;
-    const auto h = static_cast<StatHandle>(slots_.size());
-    slots_.emplace_back();
-    index_.emplace(std::string(name), h);
-    return h;
+
+/** The stat named @p name, registered on first use. */
+template <typename T>
+T &
+intern(std::map<std::string, T, std::less<>> &stats, std::string_view name)
+{
+    auto it = stats.find(name);
+    if (it == stats.end())
+        it = stats.emplace(std::string(name), T{}).first;
+    return it->second;
 }
 
-StatHandle
-StatRegistry::histogramHandle(std::string_view name)
+} // anonymous namespace
+
+Counter &
+StatRegistry::counter(std::string_view name)
 {
-    auto it = hindex_.find(name);
-    if (it != hindex_.end())
-        return it->second;
-    const auto h = static_cast<StatHandle>(hslots_.size());
-    hslots_.emplace_back();
-    hindex_.emplace(std::string(name), h);
-    return h;
+    return intern(counters_, name);
+}
+
+Histogram &
+StatRegistry::histogram(std::string_view name)
+{
+    return intern(histograms_, name);
 }
 
 std::uint64_t
 StatRegistry::counterValue(std::string_view name) const
 {
-    auto it = index_.find(name);
-    return it == index_.end() ? 0 : slots_[it->second].value;
-}
-
-void
-StatRegistry::clear()
-{
-    slots_.clear();
-    index_.clear();
-    hslots_.clear();
-    hindex_.clear();
+    auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second.value;
 }
 
 void
 StatRegistry::dump() const
 {
-    for (const auto &[name, h] : index_)
+    for (const auto &[name, c] : counters_)
         std::printf("%-48s %12llu\n", name.c_str(),
-                    static_cast<unsigned long long>(slots_[h].value));
-    for (const auto &[name, hh] : hindex_) {
-        const Histogram &h = hslots_[hh];
+                    static_cast<unsigned long long>(c.value));
+    for (const auto &[name, h] : histograms_) {
         std::printf("%-48s n=%llu mean=%.2f min=%llu med=%llu "
                     "p99=%llu p999=%llu max=%llu\n",
                     name.c_str(),

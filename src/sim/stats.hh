@@ -3,11 +3,11 @@
  * Lightweight statistics registry.  Components register named scalar
  * counters and histograms; harnesses snapshot and print them.
  *
- * Names are interned: the string -> slot map is consulted once at
- * registration, after which components hold either a StatHandle (an
- * array index) or a cached Counter reference, so hot-path increments
- * never touch a string.  Slots live in deques, so references handed
- * out by counter()/counterAt() stay valid as more stats register.
+ * Names are interned: the name -> stat map is consulted once at
+ * registration, after which components hold a cached Counter or
+ * Histogram reference, so hot-path increments never touch a string.
+ * Stats live in map nodes, so the references handed out stay valid
+ * as more stats register.
  */
 
 #ifndef FLEXTM_SIM_STATS_HH
@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <string_view>
@@ -32,9 +31,6 @@ struct Counter
     void operator++() { ++value; }
     void operator++(int) { ++value; }
 };
-
-/** Index of an interned stat inside its registry. */
-using StatHandle = std::uint32_t;
 
 /**
  * A value distribution tracker.  Values below kExact get an exact
@@ -88,21 +84,8 @@ class Histogram
 class StatRegistry
 {
   public:
-    Counter &counter(std::string_view name)
-    {
-        return slots_[counterHandle(name)];
-    }
-    Histogram &histogram(std::string_view name)
-    {
-        return hslots_[histogramHandle(name)];
-    }
-
-    /** Intern a counter name; the handle indexes counterAt forever. */
-    StatHandle counterHandle(std::string_view name);
-    StatHandle histogramHandle(std::string_view name);
-
-    Counter &counterAt(StatHandle h) { return slots_[h]; }
-    const Counter &counterAt(StatHandle h) const { return slots_[h]; }
+    Counter &counter(std::string_view name);
+    Histogram &histogram(std::string_view name);
 
     /** Value of a named counter, 0 when unregistered.  Allocation
      *  free: the name is looked up heterogeneously. */
@@ -113,20 +96,16 @@ class StatRegistry
     void
     forEachCounter(F &&fn) const
     {
-        for (const auto &[name, h] : index_)
-            fn(name, slots_[h].value);
+        for (const auto &[name, c] : counters_)
+            fn(name, c.value);
     }
-
-    void clear();
 
     /** Dump all counters to stdout (debug aid). */
     void dump() const;
 
   private:
-    std::deque<Counter> slots_;
-    std::map<std::string, StatHandle, std::less<>> index_;
-    std::deque<Histogram> hslots_;
-    std::map<std::string, StatHandle, std::less<>> hindex_;
+    std::map<std::string, Counter, std::less<>> counters_;
+    std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 } // namespace flextm

@@ -206,11 +206,12 @@ thread_local Scheduler *activeSched = nullptr;
 } // anonymous namespace
 
 SimThread::SimThread(Scheduler &sched, ThreadId id, CoreId core,
-                     std::function<void()> body, std::size_t stackBytes)
+                     std::function<void()> body)
     : sched_(sched), id_(id), core_(core), body_(std::move(body)),
-      stack_(new std::uint8_t[stackBytes]), stackBytes_(stackBytes)
+      stack_(new std::uint8_t[Scheduler::kStackBytes])
 {
-    fiberInit(ctx_, stack_.get(), stackBytes_, &SimThread::trampoline);
+    fiberInit(ctx_, stack_.get(), Scheduler::kStackBytes,
+              &SimThread::trampoline);
 #ifdef FLEXTM_TSAN_FIBERS
     tsanFiber_ = __tsan_create_fiber(0);
 #endif
@@ -254,19 +255,6 @@ SimThread::trampoline()
 }
 
 void
-Scheduler::setStackBytes(std::size_t bytes)
-{
-    sim_assert(bytes >= kMinStackBytes,
-               "fiber stack of %zu bytes is below the %zu-byte "
-               "minimum",
-               bytes, kMinStackBytes);
-    // Whole pages, so a protected guard page could sit flush below
-    // the stack base without stealing usable space.
-    constexpr std::size_t page = 4096;
-    stackBytes_ = (bytes + page - 1) & ~(page - 1);
-}
-
-void
 Scheduler::setFaultPlan(FaultPlan *p)
 {
     fault_ = p;
@@ -278,7 +266,7 @@ Scheduler::spawn(CoreId core, std::function<void()> body)
 {
     const auto tid = static_cast<ThreadId>(threads_.size());
     threads_.push_back(std::make_unique<SimThread>(
-        *this, tid, core, std::move(body), stackBytes_));
+        *this, tid, core, std::move(body)));
     heapPush(threads_.back().get());
     return tid;
 }
@@ -430,8 +418,8 @@ Scheduler::switchTo(SimThread &t)
     current_ = &t;
     Scheduler *prev = activeSched;
     activeSched = this;
-    fiberSwitchStart(&asanMainFakeStack_, t.stack_.get(),
-                     t.stackBytes_, t.tsanFiber_);
+    fiberSwitchStart(&asanMainFakeStack_, t.stack_.get(), kStackBytes,
+                     t.tsanFiber_);
     fiberSwitch(mainCtx_, t.ctx_);
     fiberSwitchFinish(asanMainFakeStack_, nullptr, nullptr);
     activeSched = prev;

@@ -63,7 +63,7 @@ class SimThread
     };
 
     SimThread(Scheduler &sched, ThreadId id, CoreId core,
-              std::function<void()> body, std::size_t stackBytes);
+              std::function<void()> body);
     ~SimThread();
 
     ThreadId id() const { return id_; }
@@ -92,12 +92,12 @@ class SimThread
     Cycles clock_ = 0;
     std::function<void()> body_;
     FiberContext ctx_{};
-    /** Fiber stack, deliberately *not* zero-initialized: a 512 KiB
-     *  memset per spawned thread dominates machine construction in
-     *  big sweeps, and a fiber only reads stack it wrote (its first
-     *  switch frame is written at spawn). */
+    /** Fiber stack of Scheduler::kStackBytes, deliberately *not*
+     *  zero-initialized: a 512 KiB memset per spawned thread
+     *  dominates machine construction in big sweeps, and a fiber only
+     *  reads stack it wrote (its first switch frame is written at
+     *  spawn). */
     std::unique_ptr<std::uint8_t[]> stack_;
-    std::size_t stackBytes_;
     /** Index of this thread in Scheduler::ready_ (kNoHeapSlot when
      *  running, blocked, or finished). */
     std::size_t heapSlot_ = kNoHeapSlot;
@@ -119,15 +119,9 @@ class Scheduler
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
 
-    /** Fiber stack size for threads spawned after this call.  Must be
-     *  at least kMinStackBytes (enough for the deepest simulator
-     *  frames plus sanitizer redzones; sizes are rounded up to whole
-     *  pages so a guard page could sit below the stack). */
-    void setStackBytes(std::size_t bytes);
-    std::size_t stackBytes() const { return stackBytes_; }
-
-    static constexpr std::size_t kMinStackBytes = 64 * 1024;
-    static constexpr std::size_t kDefaultStackBytes = 512 * 1024;
+    /** Fiber stack per simulated thread: deep runtime and oracle
+     *  frames plus sanitizer redzones, in whole pages. */
+    static constexpr std::size_t kStackBytes = 512 * 1024;
 
     /** Create a thread pinned to @p core; runs on the next run(). */
     ThreadId spawn(CoreId core, std::function<void()> body);
@@ -206,7 +200,6 @@ class Scheduler
     /** Incrementally maintained maxClock(). */
     Cycles maxSeen_ = 0;
     unsigned sliceLeft_ = kWatchdogSlice;
-    std::size_t stackBytes_ = kDefaultStackBytes;
     /** The context run() dispatches from, saved while a fiber runs. */
     FiberContext mainCtx_{};
     /** Sanitizer fiber bookkeeping for the scheduler's own (host)

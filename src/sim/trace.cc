@@ -21,29 +21,8 @@ void
 initMaskFromEnv()
 {
     maskInitialized = true;
-    const char *env = flextm::env::raw("FLEXTM_TRACE");
-    if (env == nullptr)
-        return;
-    // Unlike the programmatic parseCategories (which tolerates
-    // unknown tokens so partial specs compose), the env path is
-    // strict: FLEXTM_TRACE=protcol tracing nothing at all defeats the
-    // point of asking for a trace.
-    std::size_t pos = 0;
-    const std::string spec(env);
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        const std::string tok = spec.substr(pos, comma - pos);
-        if (parseCategories(tok) == 0) {
-            fatal("FLEXTM_TRACE token \"%s\" is not recognized (want "
-                  "protocol / tm / os / watch / fault / oracle / "
-                  "dram / all)",
-                  tok.c_str());
-        }
-        pos = comma + 1;
-    }
-    activeMask = parseCategories(spec);
+    if (const char *env = flextm::env::raw("FLEXTM_TRACE"))
+        activeMask = parseCategories(env);
 }
 
 } // namespace detail
@@ -106,6 +85,11 @@ parseCategories(const std::string &spec)
             m |= Oracle;
         else if (tok == "dram")
             m |= Dram;
+        else
+            fatal("FLEXTM_TRACE token \"%s\" is not recognized (want "
+                  "protocol / tm / os / watch / fault / oracle / "
+                  "dram / all)",
+                  tok.c_str());
         pos = comma + 1;
     }
     return m;

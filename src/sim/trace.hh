@@ -34,7 +34,9 @@ enum Category : unsigned
     All = ~0u
 };
 
-/** Parse a category list ("protocol,tm" / "all"). */
+/** Parse a category list ("protocol,tm" / "all").  An unknown
+ *  token is fatal: FLEXTM_TRACE=protcol tracing nothing at all would
+ *  defeat the point of asking for a trace. */
 unsigned parseCategories(const std::string &spec);
 
 /** Replace the active category mask; returns the previous mask. */

@@ -14,7 +14,7 @@ constexpr std::uint64_t noPage = ~std::uint64_t{0};
 
 LFUCacheWorkload::LFUCacheWorkload(unsigned pages,
                                    unsigned heap_entries)
-    : pages_(pages), heapEntries_(heap_entries), zipf_(pages)
+    : pages_(pages), heapEntries_(heap_entries), zipf_(pages, 2.0)
 {
 }
 

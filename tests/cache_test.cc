@@ -151,7 +151,7 @@ TEST(L1CacheTest, LruVictimSelection)
 
 TEST(L2CacheTest, AllocateFindRoundTrip)
 {
-    L2Cache l2(1 << 20, 8, 4);
+    L2Cache l2(1 << 20, 8);
     L2Line &l = l2.allocate(0x4000, 1, [](L2Line &) {});
     EXPECT_TRUE(l.valid);
     EXPECT_EQ(l2.find(0x4010, 2), &l);
@@ -160,7 +160,7 @@ TEST(L2CacheTest, AllocateFindRoundTrip)
 TEST(L2CacheTest, EvictionPrefersUncachedLines)
 {
     // 8 KB, 2-way -> 64 sets; stride 64*64 = 4096.
-    L2Cache l2(8192, 2, 1);
+    L2Cache l2(8192, 2);
     L2Line &a = l2.allocate(0x10000, 1, [](L2Line &) {});
     a.dir.sharers = 0x3;  // cached in two L1s
     L2Line &b = l2.allocate(0x10000 + 4096, 2, [](L2Line &) {});
@@ -188,14 +188,6 @@ TEST(L2CacheTest, DirEntryBookkeeping)
     EXPECT_TRUE(d.anyCached());
 }
 
-TEST(L2CacheTest, BankMapping)
-{
-    L2Cache l2(1 << 20, 8, 4);
-    // Consecutive lines round-robin over banks.
-    EXPECT_NE(l2.bank(0), l2.bank(64));
-    EXPECT_EQ(l2.bank(0), l2.bank(4 * 64));
-}
-
 // ---- Writeback economy ------------------------------------------------
 
 /** Dirty a line, then walk enough same-set lines to evict it from a
@@ -207,7 +199,6 @@ forceDirtyL2Eviction(MemBackendKind backend)
     cfg.cores = 1;
     cfg.l2Bytes = 8192;
     cfg.l2Ways = 2;
-    cfg.l2Banks = 1;
     cfg.memoryBytes = 4u << 20;
     cfg.memBackend = backend;
     auto m = std::make_unique<Machine>(cfg);

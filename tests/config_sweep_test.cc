@@ -332,27 +332,6 @@ TEST(HtmConfigValidation, RejectsWriteBoundTheL1CannotRetain)
                  "exceeds what the L1 can retain");
 }
 
-// ---- Fiber-stack knob -------------------------------------------
-
-TEST(FiberStackConfig, RejectsStacksBelowTheMinimum)
-{
-    MachineConfig cfg;
-    cfg.cores = 2;
-    cfg.memoryBytes = 64u << 20;
-    cfg.fiberStackKiB = 16;  // < Scheduler::kMinStackBytes
-    EXPECT_DEATH(Machine m(cfg), "below the .*minimum");
-}
-
-TEST(FiberStackConfig, CustomSizeReachesTheScheduler)
-{
-    MachineConfig cfg;
-    cfg.cores = 2;
-    cfg.memoryBytes = 64u << 20;
-    cfg.fiberStackKiB = 1024;
-    Machine m(cfg);
-    EXPECT_EQ(m.scheduler().stackBytes(), 1024u * 1024u);
-}
-
 TEST(HtmConfigValidation, FactoryConstructionRunsTheValidator)
 {
     MachineConfig cfg;

@@ -283,7 +283,7 @@ TEST(MemBackendFactory, FixedIsTheDefaultAndChargesFlatReads)
     StatRegistry reg;
     auto be = makeMemBackend(cfg, reg);
     EXPECT_STREQ(be->name(), "fixed");
-    EXPECT_EQ(be->read(0, 123), cfg.memLatency);
+    EXPECT_EQ(be->read(0, 123), FixedBackend::memLatency);
     // Legacy posted writebacks are free - the determinism goldens
     // pin this.
     EXPECT_EQ(be->write(0, 123), 0u);

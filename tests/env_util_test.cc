@@ -11,7 +11,6 @@
 #include <cstdlib>
 
 #include "mem/dram/mem_backend.hh"
-#include "runtime/conflict_manager.hh"
 #include "sim/auditor.hh"
 #include "sim/env_util.hh"
 #include "sim/fault.hh"
@@ -139,31 +138,10 @@ TEST(EnvSite, AuditorAcceptsAllLevels)
 {
     ScopedEnv e("FLEXTM_AUDITOR", "off");
     EXPECT_EQ(envAuditLevel(AuditLevel::Transition), AuditLevel::Off);
-    setenv("FLEXTM_AUDITOR", "switch", 1);
-    EXPECT_EQ(envAuditLevel(AuditLevel::Off), AuditLevel::SwitchOnly);
     setenv("FLEXTM_AUDITOR", "txn", 1);
     EXPECT_EQ(envAuditLevel(AuditLevel::Off), AuditLevel::TxnBoundary);
     setenv("FLEXTM_AUDITOR", "transition", 1);
     EXPECT_EQ(envAuditLevel(AuditLevel::Off), AuditLevel::Transition);
-}
-
-TEST(EnvSiteDeath, CmPolicy)
-{
-    ScopedEnv e("FLEXTM_CM_POLICY", "polkka");
-    EXPECT_DEATH(envCmPolicy(CmPolicy::Polka), "FLEXTM_CM_POLICY");
-}
-
-TEST(EnvSite, CmPolicySynonymsStillAccepted)
-{
-    ScopedEnv e("FLEXTM_CM_POLICY", "timestamp");
-    EXPECT_EQ(envCmPolicy(CmPolicy::Polka),
-              CmPolicy::TimestampGreedy);
-    setenv("FLEXTM_CM_POLICY", "backoff", 1);
-    EXPECT_EQ(envCmPolicy(CmPolicy::Polka),
-              CmPolicy::RandomizedBackoff);
-    setenv("FLEXTM_CM_POLICY", "serial-irrevocable-first", 1);
-    EXPECT_EQ(envCmPolicy(CmPolicy::Polka),
-              CmPolicy::SerialIrrevocableFirst);
 }
 
 TEST(EnvSiteDeath, MemBackend)

@@ -102,16 +102,6 @@ TEST(FlatMap, SortedIterationMatchesStdMap)
     for (const auto &[k, v] : ref)
         expect.emplace_back(k, v);
     EXPECT_EQ(got, expect);
-
-    // The mutable variant visits the same sequence and its writes
-    // stick.
-    fm.forEachSortedMut([&](std::uint64_t, int &v) { v += 1000; });
-    std::size_t i = 0;
-    fm.forEachSorted([&](std::uint64_t k, const int &v) {
-        ASSERT_EQ(k, expect[i].first);
-        ASSERT_EQ(v, expect[i].second + 1000);
-        ++i;
-    });
 }
 
 /** Erase + reinsert cycles must reuse tombstoned slots rather than

@@ -1,9 +1,10 @@
 /**
  * @file
  * libflextm unit tests: region lifecycle, the CS-453 retry contract,
- * TL2 opacity under real cross-thread conflicts, backend selection,
- * and the access-log checker itself (it must reject a cooked
- * non-serializable history, or its green runs mean nothing).
+ * TL2 opacity under real cross-thread conflicts, API misuse (dead or
+ * read-only handles, misaligned accesses), and the access-log checker
+ * itself (it must reject a cooked non-serializable history, or its
+ * green runs mean nothing).
  *
  * Everything here is pure native code - no simulator fibers - so the
  * suite also runs under the tsan preset (label nativetsan) and in the
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
@@ -106,35 +108,6 @@ class HeapCount
     }
 };
 
-/** RAII env var that always restores the pre-test state. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_)
-            old_ = old;
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_, old_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_;
-    std::string old_;
-};
-
 /** Run @p body as a transaction, retrying on abort until it commits.
  *  @p body returns false when a tm_read/tm_write already aborted the
  *  attempt (per the API contract, tm_end is then NOT called). */
@@ -173,24 +146,29 @@ TEST(NativeLibCreate, RejectsBadArguments)
     EXPECT_EQ(tm_create_with(60, 8, Backend::Tl2), invalid_shared);
 }
 
-TEST(NativeLibCreate, BackendComesFromEnv)
+/** tm_create makes a TL2 region: a writer commits while another
+ *  thread's transaction is still live, which a global lock would
+ *  hold off until that transaction ends. */
+TEST(NativeLibCreate, CreateMakesATl2Region)
 {
-    ScopedEnv e("FLEXTM_NATIVE_BACKEND", nullptr);
     shared_t sh = tm_create(64, 8);
     ASSERT_NE(sh, invalid_shared);
-    EXPECT_EQ(tm_backend(sh), Backend::Tl2);
-    tm_destroy(sh);
-
-    setenv("FLEXTM_NATIVE_BACKEND", "gl", 1);
-    sh = tm_create(64, 8);
-    ASSERT_NE(sh, invalid_shared);
-    EXPECT_EQ(tm_backend(sh), Backend::GlobalLock);
-    tm_destroy(sh);
-
-    setenv("FLEXTM_NATIVE_BACKEND", "tl2", 1);
-    sh = tm_create(64, 8);
-    ASSERT_NE(sh, invalid_shared);
-    EXPECT_EQ(tm_backend(sh), Backend::Tl2);
+    auto *word = static_cast<std::uint64_t *>(tm_start(sh));
+    const tx_t reader = tm_begin(sh, true);
+    std::atomic<bool> committed{false};
+    std::thread writer([&] {
+        runTxn(sh, false, [&](tx_t tx) {
+            const std::uint64_t v = 1;
+            return tm_write(sh, tx, &v, sizeof v, word);
+        });
+        committed.store(true);
+    });
+    for (int ms = 0; ms < 10000 && !committed.load(); ++ms)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(committed.load())
+        << "the writer waited for a live transaction to end";
+    EXPECT_TRUE(tm_end(sh, reader));
+    writer.join();
     tm_destroy(sh);
 }
 
@@ -210,12 +188,6 @@ TEST(NativeLibCreate, StatsAreFreshWhenARegionReusesAnAddress)
         EXPECT_EQ(tm_stats(sh).commits, 1u) << "region " << i;
         tm_destroy(sh);
     }
-}
-
-TEST(NativeLibCreateDeath, GarbageBackendIsFatal)
-{
-    ScopedEnv e("FLEXTM_NATIVE_BACKEND", "glx");
-    EXPECT_DEATH(tm_create(64, 8), "FLEXTM_NATIVE_BACKEND");
 }
 
 TEST_P(NativeLib, RegionStartsZeroedAndCommitsStick)
@@ -621,6 +593,53 @@ TEST_F(NativeLibReadOnlyDeath, FreeIsFatal)
     ASSERT_NE(seg, nullptr);
     tx_t tx = tm_begin(sh, true);
     EXPECT_DEATH(tm_free(sh, tx, seg), "is_ro=true");
+    EXPECT_TRUE(tm_end(sh, tx));
+}
+
+// ---------------------------------------------------------------
+// Alignment: every tm_read/tm_write address and size must be a
+// multiple of the region's alignment.  A misaligned 8-byte access
+// spans two granules, and TL2 would lock and validate only the first
+// one's stripe.
+// ---------------------------------------------------------------
+
+using NativeLibAlignmentDeath = NativeLibDeadHandleDeath;
+
+TEST_F(NativeLibAlignmentDeath, MisalignedReadIsFatal)
+{
+    tx_t tx = tm_begin(sh, true);
+    std::uint64_t v;
+    EXPECT_DEATH(tm_read(sh, tx, reinterpret_cast<char *>(words) + 4, 8,
+                         &v),
+                 "tm_read address or size is not a multiple");
+    EXPECT_TRUE(tm_end(sh, tx));
+}
+
+TEST_F(NativeLibAlignmentDeath, MisalignedWriteIsFatal)
+{
+    tx_t tx = tm_begin(sh, false);
+    const std::uint64_t v = 7;
+    EXPECT_DEATH(tm_write(sh, tx, &v, 8,
+                          reinterpret_cast<char *>(words) + 4),
+                 "tm_write address or size is not a multiple");
+    EXPECT_TRUE(tm_end(sh, tx));
+}
+
+TEST_F(NativeLibAlignmentDeath, BadReadSizeIsFatal)
+{
+    tx_t tx = tm_begin(sh, true);
+    std::uint64_t v;
+    EXPECT_DEATH(tm_read(sh, tx, words, 4, &v),
+                 "tm_read address or size is not a multiple");
+    EXPECT_TRUE(tm_end(sh, tx));
+}
+
+TEST_F(NativeLibAlignmentDeath, BadWriteSizeIsFatal)
+{
+    tx_t tx = tm_begin(sh, false);
+    const std::uint64_t v = 7;
+    EXPECT_DEATH(tm_write(sh, tx, &v, 12, words),
+                 "tm_write address or size is not a multiple");
     EXPECT_TRUE(tm_end(sh, tx));
 }
 

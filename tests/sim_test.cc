@@ -450,7 +450,7 @@ TEST(RngTest, BoundsRespected)
 
 TEST(ZipfTest, HeavilySkewedTowardsZero)
 {
-    ZipfSampler zipf(2048);
+    ZipfSampler zipf(2048, 2.0);
     Rng rng(5);
     unsigned zero_hits = 0;
     const unsigned n = 20000;
@@ -466,7 +466,7 @@ TEST(ZipfTest, HeavilySkewedTowardsZero)
 
 TEST(ZipfTest, AllValuesInRange)
 {
-    ZipfSampler zipf(16);
+    ZipfSampler zipf(16, 2.0);
     Rng rng(9);
     for (int i = 0; i < 5000; ++i)
         EXPECT_LT(zipf.sample(rng), 16u);

@@ -52,9 +52,14 @@ TEST(TraceTest, ParseCategories)
     EXPECT_EQ(trace::parseCategories("protocol,tm"),
               trace::Protocol | trace::Tm);
     EXPECT_EQ(trace::parseCategories("all"), trace::All);
-    EXPECT_EQ(trace::parseCategories("bogus"), 0u);
     EXPECT_EQ(trace::parseCategories("os,watch"),
               trace::Os | trace::Watch);
+}
+
+TEST(TraceTestDeath, UnknownCategoryIsFatal)
+{
+    EXPECT_DEATH(trace::parseCategories("tm,bogus"),
+                 "FLEXTM_TRACE token \"bogus\" is not recognized");
 }
 
 TEST(TraceTest, DisabledCategoryEmitsNothing)
